@@ -14,7 +14,11 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "bm3d/bandscan.h"
+#include "bm3d/blockmatch.h"
 #include "fixed/int16plan.h"
+#include "image/noise.h"
+#include "image/synthetic.h"
 #include "simd/simd.h"
 
 using namespace ideal;
@@ -112,7 +116,8 @@ main(int argc, char **argv)
         {"ssd_pair_batch_int16", {}},           {"dct4_fwd_int16", {}},
         {"haar_shrink_fused", {}},              {"wiener_shrink_fused", {}},
         {"aggregate_group", {}},    {"haar_shrink_fused_int16", {}},
-        {"ssd_scan", {}},           {"ssd_scan_prefetch", {}},
+        {"ssd_scan", {}},           {"bm2_scan_ref", {}},
+        {"bm2_scan_band", {}},
     };
 
     // Coefficient-major view of the pool for the SoA kernels: plane k
@@ -164,6 +169,21 @@ main(int argc, char **argv)
         glx[i] = (i * 7) % 60;
         gly[i] = (i * 11) % 60;
     }
+
+    // BM2 window scan of one 64x8 reference band at the paper's
+    // stage-2 window (39) over a lightly noisy street scene: the
+    // per-reference BlockMatcher::search versus the displacement-major
+    // band scan (DESIGN §16). Both produce the same lists bit for bit;
+    // their ratio is the kernel-layer prediction of the BM2 speedup.
+    const image::ImageF bm2_plane = image::addGaussianNoise(
+        image::makeScene(image::SceneKind::Street, 128, 64, 1, 7), 5.0f,
+        8);
+    const bm3d::ColorMatchDomain bm2_domain(bm2_plane, 4);
+    const bm3d::BlockMatcher<bm3d::ColorMatchDomain> bm2_matcher(
+        bm2_domain, 39, 1, 1, 400.0f, 16);
+    bm3d::Bm2BandScan bm2_scan;
+    const int bm2_iters = quick ? 4 : 10;
+    const int bm2_x0 = 32, bm2_y0 = 24; // window stays inside the image
 
     for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
         const auto level = static_cast<simd::Level>(l);
@@ -386,12 +406,8 @@ main(int argc, char **argv)
             }
         });
 
-        // Prefetch on/off twins of the SoA SSD window scan (DESIGN
-        // §15): same loop shape back to back, the second issuing the
-        // one-run lookahead hint BlockMatcher emits when
-        // Bm3dConfig::prefetch is on — so the ssd_scan vs
-        // ssd_scan_prefetch delta is the hint's isolated cost/benefit
-        // on this host, free of the band schedule's reordering.
+        // SoA SSD window scan: whole 64-candidate runs, the shape
+        // BlockMatcher::search dispatches per window row.
         record([&] {
             float out[64];
             for (int it = 0; it < iters; ++it)
@@ -401,21 +417,27 @@ main(int argc, char **argv)
                     g_sink += out[0] + out[63];
                 }
         });
+
+        // The matcher and the band scan dispatch through the active
+        // table, so these two rows switch the process-wide level.
+        simd::setLevel(level);
         record([&] {
-            float out[64];
-            for (int it = 0; it < iters; ++it)
-                for (int i = 0; i + 64 <= patches; i += 64) {
-                    const int next = i + 64;
-                    if (next + 64 <= patches)
-                        for (int kk = 0; kk < 16; ++kk)
-                            for (int off = 0; off < 64; off += 16)
-                                simd::prefetchRead(soa_planes[kk] + next +
-                                                   off);
-                    k.ssdSoaBatch(pool.data(), soa_planes.data(),
-                                  static_cast<size_t>(i), 16, 64, out);
-                    g_sink += out[0] + out[63];
-                }
+            bm3d::MatchList list;
+            for (int it = 0; it < bm2_iters; ++it)
+                for (int y = bm2_y0; y < bm2_y0 + 8; ++y)
+                    for (int x = bm2_x0; x < bm2_x0 + 64; ++x) {
+                        bm2_matcher.search(x, y, list);
+                        g_sink += static_cast<float>(list.size());
+                    }
         });
+        record([&] {
+            for (int it = 0; it < bm2_iters; ++it) {
+                bm2_scan.run(bm2_domain, 39, 400.0f, 16, bm2_x0, 64,
+                             bm2_y0, 8);
+                g_sink += static_cast<float>(bm2_scan.matches(0).size());
+            }
+        });
+        simd::setLevel(simd::bestSupported());
     }
 
     for (const Timing &r : rows) {
@@ -426,6 +448,9 @@ main(int argc, char **argv)
     }
     std::printf("(total ms per kernel for %d x %d calls; sink=%g)\n",
                 iters, patches, static_cast<double>(g_sink));
+    std::printf("(bm2_scan_*: total ms for %d scans of one 64x8 reference "
+                "band at window 39)\n",
+                bm2_iters);
 
     rec.wallTimeS = msSince(t_total) / 1e3;
     rec.write();

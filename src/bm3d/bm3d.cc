@@ -7,6 +7,7 @@
 #include <optional>
 #include <type_traits>
 
+#include "bm3d/bandscan.h"
 #include "bm3d/blockmatch.h"
 #include "bm3d/denoise.h"
 #include "bm3d/seeding.h"
@@ -37,7 +38,12 @@ struct WorkerScratch
     /// match lists per tile cell, and which cells were searched.
     std::vector<MatchList> coarseLists;
     std::vector<uint8_t> coarseSearched;
+    /// Displacement-major BM2 scratch (DESIGN §16).
+    Bm2BandScan bandScan;
 };
+
+/** Reference rows per displacement-major BM2 band (DESIGN §16). */
+constexpr int kBm2BandRows = 8;
 
 /**
  * Floor of the propagated adaptive bound, as a fraction of Tmatch.
@@ -173,6 +179,11 @@ searchReference(const Domain &domain, const BlockMatcher<Domain> &matcher,
  * (Sec. 5.3: row granularity keeps MR locality within a worker), cut
  * into tiles so the work-stealing pool can balance load and the search
  * window's working set stays cache-resident.
+ *
+ * With @p band_scan (BM2 under bm2BandScanEligible), the window scans
+ * of every kBm2BandRows tile rows run as one displacement-major band
+ * scan (DESIGN §16) whose lists are bitwise those of
+ * BlockMatcher::search; stacks are still denoised in reference order.
  */
 template <typename Domain>
 void
@@ -181,7 +192,8 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
             const std::vector<int> &xs, const std::vector<int> &ys,
             const parallel::Tile &tile, DenoiseEngine &engine,
             Aggregator &agg, Profile &profile,
-            std::vector<MatchList> &row_above, TemporalSeed *seed)
+            std::vector<MatchList> &row_above, TemporalSeed *seed,
+            Bm2BandScan *band_scan)
 {
     const Step bm_step =
         stage == Stage::HardThreshold ? Step::Bm1 : Step::Bm2;
@@ -212,6 +224,16 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     for (int yi = tile.y0; yi < tile.y1; ++yi) {
         const int y = ys[yi];
         const int y_above = yi > tile.y0 ? ys[yi - 1] : 0;
+        const int band_row = (yi - tile.y0) % kBm2BandRows;
+        if constexpr (std::is_same_v<Domain, ColorMatchDomain>) {
+            if (band_scan != nullptr && band_row == 0) {
+                ScopedTimer timer(profile, bm_step);
+                band_scan->run(domain, cfg.searchWindow(stage),
+                               matcher.tauMatch(), cfg.maxMatches,
+                               xs[tile.x0], tile.width(), y,
+                               std::min(kBm2BandRows, tile.y1 - yi));
+            }
+        }
         bool have_previous = false;
         int prev_x = 0;
         // Adaptive early-termination state (variant.adaptiveBound):
@@ -301,9 +323,16 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
                         }
                     }
                 }
-                if (!hit)
+                if (!hit && band_scan != nullptr) {
+                    const int i =
+                        band_row * tile.width() + (xi - tile.x0);
+                    current = band_scan->matches(i);
+                    candidates += band_scan->evaluated(i);
+                    av.prunedInserts += band_scan->pruned(i);
+                } else if (!hit) {
                     candidates += matcher.search(x, y, current, bound,
                                                  &av.prunedInserts);
+                }
                 if constexpr (kSeedableDomain) {
                     if (seed != nullptr && seed->current != nullptr) {
                         // Remember this frame's matches for frame t+1.
@@ -602,7 +631,7 @@ class StageRunner
           basic_(basic), field_(field), opts_(opts),
           matcher_(domain, cfg.searchWindow(stage), cfg.searchStride,
                    cfg.refStride, cfg.tauMatch(stage), cfg.maxMatches,
-                   cfg.boundedDistance, cfg.prefetch),
+                   cfg.boundedDistance),
           xs_(makeRefPositions(domain.positionsX() - 1, cfg.refStride)),
           ys_(makeRefPositions(domain.positionsY() - 1, cfg.refStride)),
           tiles_(parallel::makeTiles(static_cast<int>(xs_.size()),
@@ -623,7 +652,9 @@ class StageRunner
           // nondeterministic.
           total_(noisy.width(), noisy.height(), noisy.channels(),
                  opts.arena),
-          pending_(tiles_.size())
+          pending_(tiles_.size()),
+          bandScan_(std::is_same_v<Domain, ColorMatchDomain> &&
+                    bm2BandScanEligible(cfg))
     {
     }
 
@@ -678,7 +709,8 @@ class StageRunner
                 } else {
                     processTile(cfg_, stage_, domain_, matcher_, xs_,
                                 ys_, tile, *ws.engine, agg, ws.profile,
-                                ws.rowAbove, opts_.seed);
+                                ws.rowAbove, opts_.seed,
+                                bandScan_ ? &ws.bandScan : nullptr);
                 }
 
                 std::lock_guard<std::mutex> lock(mergeMutex_);
@@ -753,6 +785,7 @@ class StageRunner
     std::vector<std::optional<Aggregator>> pending_;
     std::mutex mergeMutex_;
     size_t mergeCursor_ = 0;
+    bool bandScan_; ///< BM2 runs displacement-major (DESIGN §16)
 };
 
 /**

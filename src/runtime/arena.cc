@@ -17,6 +17,30 @@ BufferArena::takeFreeLocked(size_t count, std::vector<float> *out)
 }
 
 void
+BufferArena::keepLocked(std::vector<float> &&buf,
+                        std::vector<float> *dropped)
+{
+    const size_t cap = buf.capacity();
+    if (free_.count(cap) >= kMaxFreePerClass) {
+        ++stats_.dropped;
+        *dropped = std::move(buf);
+        return;
+    }
+    free_.emplace(cap, std::move(buf));
+}
+
+void
+BufferArena::drop(std::vector<float> &&buf)
+{
+    const int64_t bytes = static_cast<int64_t>(buf.capacity()) *
+                          static_cast<int64_t>(sizeof(float));
+    if (bytes == 0)
+        return;
+    std::vector<float>().swap(buf);
+    obs::chargeResidentBytes(-bytes);
+}
+
+void
 BufferArena::ensure(std::vector<float> &buf, size_t count)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
@@ -33,6 +57,7 @@ BufferArena::ensure(std::vector<float> &buf, size_t count)
     }
 
     std::vector<float> recycled;
+    std::vector<float> dropped;
     bool hit = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -44,10 +69,11 @@ BufferArena::ensure(std::vector<float> &buf, size_t count)
             stats_.bytesNew += count * sizeof(float);
         }
         if (buf.capacity() > 0) {
-            free_.emplace(buf.capacity(), std::move(buf));
+            keepLocked(std::move(buf), &dropped);
             buf = std::vector<float>();
         }
     }
+    drop(std::move(dropped));
     if (hit) {
         recycled.resize(count);
         buf = std::move(recycled);
@@ -71,8 +97,12 @@ BufferArena::release(std::vector<float> &&buf)
 {
     if (buf.capacity() == 0)
         return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_.emplace(buf.capacity(), std::move(buf));
+    std::vector<float> dropped;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        keepLocked(std::move(buf), &dropped);
+    }
+    drop(std::move(dropped));
 }
 
 BufferArena::Stats

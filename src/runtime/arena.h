@@ -43,6 +43,13 @@ namespace runtime {
  *    classes segregated, so a small request can never starve a huge
  *    patch-field class — or allocates on miss.
  *
+ * The free list keeps at most kMaxFreePerClass buffers of any one
+ * capacity; a donation beyond that is freed on the spot (and credited
+ * to the resident-bytes ledger). Donors may therefore hand over more
+ * buffers than the pipeline ever draws back — a stream donates every
+ * input frame while its caller also recycles the outputs — without
+ * the free list growing by a frame per frame.
+ *
  * Thread-safe; the streaming runtime calls it from the prepass and
  * driver threads concurrently (their buffer size classes are disjoint,
  * which keeps the hit/miss totals deterministic — see DESIGN §9).
@@ -61,6 +68,7 @@ class BufferArena
         uint64_t misses = 0;   ///< requests that had to allocate
         uint64_t bytesNew = 0; ///< bytes of fresh heap allocation
         uint64_t freeBuffers = 0; ///< buffers currently in the free list
+        uint64_t dropped = 0; ///< donations freed: their class was full
     };
 
     /**
@@ -92,9 +100,23 @@ class BufferArena
     /// for it: bounded internal fragmentation, segregated size classes.
     static constexpr size_t kSlackFactor = 4;
 
+    /// Free buffers kept per exact capacity. A stream's steady state
+    /// draws at most a handful of same-shape buffers per frame (output,
+    /// total aggregator planes, stage-2 plane copy); the rest of what
+    /// it is handed is surplus.
+    static constexpr size_t kMaxFreePerClass = 8;
+
     /// Take a free buffer with capacity in [count, kSlackFactor*count];
     /// returns false when none qualifies. Caller holds mutex_.
     bool takeFreeLocked(size_t count, std::vector<float> *out);
+
+    /// Add @p buf to the free list, or move it to @p dropped when its
+    /// capacity class is full. Caller holds mutex_ and frees
+    /// @p dropped after unlocking.
+    void keepLocked(std::vector<float> &&buf, std::vector<float> *dropped);
+
+    /// Free a buffer keepLocked() turned away and credit the ledger.
+    static void drop(std::vector<float> &&buf);
 
     mutable std::mutex mutex_;
     std::multimap<size_t, std::vector<float>> free_; ///< by capacity

@@ -13,6 +13,7 @@
 
 #include <immintrin.h>
 
+#include <array>
 #include <cmath>
 
 namespace ideal {
@@ -1252,6 +1253,133 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
     return kept;
 }
 
+/**
+ * kLeftPack8[m]: byte k holds the lane index of the k-th set bit of
+ * the 8-lane mask m — the permutation that packs the set lanes to the
+ * front.
+ */
+constexpr std::array<uint64_t, 256> kLeftPack8 = [] {
+    std::array<uint64_t, 256> t{};
+    for (unsigned m = 0; m < 256; ++m) {
+        int k = 0;
+        for (unsigned lane = 0; lane < 8; ++lane)
+            if (m & (1u << lane))
+                t[m] |= static_cast<uint64_t>(lane) << (8 * k++);
+    }
+    return t;
+}();
+
+/** Scalar lane of bandFoldSelect (the scalar table's expression). */
+inline void
+bandSelectLane(const float *p, float scale, float tau, const float *cut,
+               int32_t *pruned, size_t i, int32_t *hit_idx,
+               float *hit_dist, int &hits)
+{
+    // Branch-free: the slot is always written and only kept on a hit
+    // (hits are a few percent of lanes, in no predictable pattern).
+    const float dist = ((p[0] + p[2]) + (p[1] + p[3])) * scale;
+    const bool hit = dist < cut[i];
+    hit_idx[hits] = static_cast<int32_t>(i);
+    hit_dist[hits] = dist;
+    hits += hit ? 1 : 0;
+    pruned[i] += (!hit && dist < tau) ? 1 : 0;
+}
+
+void
+bandSqDiff(const float *a, const float *b, size_t stride, int rows,
+           int cols, float *d, size_t d_stride)
+{
+    for (int r = 0; r < rows; ++r) {
+        const float *ar = a + static_cast<size_t>(r) * stride;
+        const float *br = b + static_cast<size_t>(r) * stride;
+        float *dr = d + static_cast<size_t>(r) * d_stride;
+        int c = 0;
+        for (; c + 8 <= cols; c += 8) {
+            const __m256 t = _mm256_sub_ps(_mm256_loadu_ps(ar + c),
+                                           _mm256_loadu_ps(br + c));
+            _mm256_storeu_ps(dr + c, _mm256_mul_ps(t, t));
+        }
+        for (; c < cols; ++c) {
+            const float t = ar[c] - br[c];
+            dr[c] = t * t;
+        }
+    }
+}
+
+void
+bandColSum4(const float *d, size_t stride, int rows, int cols, float *v)
+{
+    for (int r = 0; r < rows; ++r) {
+        const float *d0 = d + static_cast<size_t>(r) * stride;
+        const float *d1 = d0 + stride;
+        const float *d2 = d1 + stride;
+        const float *d3 = d2 + stride;
+        float *vr = v + static_cast<size_t>(r) * stride;
+        int c = 0;
+        for (; c + 8 <= cols; c += 8) {
+            const __m256 s02 = _mm256_add_ps(_mm256_loadu_ps(d0 + c),
+                                             _mm256_loadu_ps(d2 + c));
+            const __m256 s13 = _mm256_add_ps(_mm256_loadu_ps(d1 + c),
+                                             _mm256_loadu_ps(d3 + c));
+            _mm256_storeu_ps(vr + c, _mm256_add_ps(s02, s13));
+        }
+        for (; c < cols; ++c)
+            vr[c] = (d0[c] + d2[c]) + (d1[c] + d3[c]);
+    }
+}
+
+int
+bandFoldSelect(const float *v, size_t v_stride, int rows, int cols,
+               float scale, float tau, const float *cut, int32_t *pruned,
+               size_t ref_stride, int32_t *hit_idx, float *hit_dist)
+{
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const __m256 vtau = _mm256_set1_ps(tau);
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    int hits = 0;
+    for (int r = 0; r < rows; ++r) {
+        const float *vr = v + static_cast<size_t>(r) * v_stride;
+        const size_t base = static_cast<size_t>(r) * ref_stride;
+        int c = 0;
+        for (; c + 8 <= cols; c += 8) {
+            const __m256 s02 = _mm256_add_ps(_mm256_loadu_ps(vr + c),
+                                             _mm256_loadu_ps(vr + c + 2));
+            const __m256 s13 = _mm256_add_ps(_mm256_loadu_ps(vr + c + 1),
+                                             _mm256_loadu_ps(vr + c + 3));
+            const __m256 dist =
+                _mm256_mul_ps(_mm256_add_ps(s02, s13), vscale);
+            const size_t i = base + c;
+            const __m256 below = _mm256_cmp_ps(
+                dist, _mm256_loadu_ps(cut + i), _CMP_LT_OQ);
+            // Pruned lanes (below tau, not below the cutoff) are -1:
+            // subtracting the mask counts them in int32 lanes.
+            const __m256i prune = _mm256_castps_si256(_mm256_andnot_ps(
+                below, _mm256_cmp_ps(dist, vtau, _CMP_LT_OQ)));
+            __m256i *pp = reinterpret_cast<__m256i *>(pruned + i);
+            _mm256_storeu_si256(
+                pp, _mm256_sub_epi32(_mm256_loadu_si256(pp), prune));
+            // Left-pack the hit lanes (index and distance) with one
+            // permute and advance by their count: no branch per lane.
+            const unsigned mask =
+                static_cast<unsigned>(_mm256_movemask_ps(below));
+            const __m256i perm = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+                static_cast<long long>(kLeftPack8[mask])));
+            const __m256i idx = _mm256_add_epi32(
+                _mm256_set1_epi32(static_cast<int32_t>(i)), iota);
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(hit_idx + hits),
+                _mm256_permutevar8x32_epi32(idx, perm));
+            _mm256_storeu_ps(hit_dist + hits,
+                             _mm256_permutevar8x32_ps(dist, perm));
+            hits += _mm_popcnt_u32(mask);
+        }
+        for (; c < cols; ++c)
+            bandSelectLane(vr + c, scale, tau, cut, pruned, base + c,
+                           hit_idx, hit_dist, hits);
+    }
+    return hits;
+}
+
 const KernelTable kAvx2TableStorage = {
     ssd,           ssdBounded,      ssdFull,       ssdBatch16,
     ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
@@ -1263,6 +1391,7 @@ const KernelTable kAvx2TableStorage = {
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
+    bandSqDiff,    bandColSum4,     bandFoldSelect,
 };
 
 } // namespace

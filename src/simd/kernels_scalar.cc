@@ -789,6 +789,60 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
     return kept;
 }
 
+void
+bandSqDiff(const float *a, const float *b, size_t stride, int rows,
+           int cols, float *d, size_t d_stride)
+{
+    for (int r = 0; r < rows; ++r) {
+        const float *ar = a + static_cast<size_t>(r) * stride;
+        const float *br = b + static_cast<size_t>(r) * stride;
+        float *dr = d + static_cast<size_t>(r) * d_stride;
+        for (int c = 0; c < cols; ++c) {
+            const float t = ar[c] - br[c];
+            dr[c] = t * t;
+        }
+    }
+}
+
+void
+bandColSum4(const float *d, size_t stride, int rows, int cols, float *v)
+{
+    for (int r = 0; r < rows; ++r) {
+        const float *d0 = d + static_cast<size_t>(r) * stride;
+        const float *d1 = d0 + stride;
+        const float *d2 = d1 + stride;
+        const float *d3 = d2 + stride;
+        float *vr = v + static_cast<size_t>(r) * stride;
+        for (int c = 0; c < cols; ++c)
+            vr[c] = (d0[c] + d2[c]) + (d1[c] + d3[c]);
+    }
+}
+
+int
+bandFoldSelect(const float *v, size_t v_stride, int rows, int cols,
+               float scale, float tau, const float *cut, int32_t *pruned,
+               size_t ref_stride, int32_t *hit_idx, float *hit_dist)
+{
+    int hits = 0;
+    for (int r = 0; r < rows; ++r) {
+        const float *vr = v + static_cast<size_t>(r) * v_stride;
+        const size_t base = static_cast<size_t>(r) * ref_stride;
+        for (int c = 0; c < cols; ++c) {
+            const float dist =
+                ((vr[c] + vr[c + 2]) + (vr[c + 1] + vr[c + 3])) * scale;
+            const size_t i = base + c;
+            // Branch-free: the slot is always written and only kept on
+            // a hit (hits are a few percent of lanes, unpredictably).
+            const bool hit = dist < cut[i];
+            hit_idx[hits] = static_cast<int32_t>(i);
+            hit_dist[hits] = dist;
+            hits += hit ? 1 : 0;
+            pruned[i] += (!hit && dist < tau) ? 1 : 0;
+        }
+    }
+    return hits;
+}
+
 } // namespace
 
 const KernelTable kScalarTable = {
@@ -802,6 +856,7 @@ const KernelTable kScalarTable = {
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
+    bandSqDiff,    bandColSum4,     bandFoldSelect,
 };
 
 } // namespace detail

@@ -13,6 +13,7 @@
 
 #include <nmmintrin.h>
 
+#include <array>
 #include <cmath>
 
 namespace ideal {
@@ -1206,6 +1207,133 @@ haarShrinkFusedI16(int16_t *g, int stack, int width, int16_t threshold,
     return kept;
 }
 
+/**
+ * kLeftPack4[m]: the pshufb control that packs the 32-bit lanes set in
+ * the 4-lane mask m to the front.
+ */
+constexpr std::array<std::array<uint8_t, 16>, 16> kLeftPack4 = [] {
+    std::array<std::array<uint8_t, 16>, 16> t{};
+    for (unsigned m = 0; m < 16; ++m) {
+        int k = 0;
+        for (unsigned lane = 0; lane < 4; ++lane) {
+            if (m & (1u << lane)) {
+                for (unsigned b = 0; b < 4; ++b)
+                    t[m][4 * k + b] = static_cast<uint8_t>(4 * lane + b);
+                ++k;
+            }
+        }
+    }
+    return t;
+}();
+
+/** Scalar lane of bandFoldSelect (the scalar table's expression). */
+inline void
+bandSelectLane(const float *p, float scale, float tau, const float *cut,
+               int32_t *pruned, size_t i, int32_t *hit_idx,
+               float *hit_dist, int &hits)
+{
+    // Branch-free: the slot is always written and only kept on a hit
+    // (hits are a few percent of lanes, in no predictable pattern).
+    const float dist = ((p[0] + p[2]) + (p[1] + p[3])) * scale;
+    const bool hit = dist < cut[i];
+    hit_idx[hits] = static_cast<int32_t>(i);
+    hit_dist[hits] = dist;
+    hits += hit ? 1 : 0;
+    pruned[i] += (!hit && dist < tau) ? 1 : 0;
+}
+
+void
+bandSqDiff(const float *a, const float *b, size_t stride, int rows,
+           int cols, float *d, size_t d_stride)
+{
+    for (int r = 0; r < rows; ++r) {
+        const float *ar = a + static_cast<size_t>(r) * stride;
+        const float *br = b + static_cast<size_t>(r) * stride;
+        float *dr = d + static_cast<size_t>(r) * d_stride;
+        int c = 0;
+        for (; c + 4 <= cols; c += 4) {
+            const __m128 t =
+                _mm_sub_ps(_mm_loadu_ps(ar + c), _mm_loadu_ps(br + c));
+            _mm_storeu_ps(dr + c, _mm_mul_ps(t, t));
+        }
+        for (; c < cols; ++c) {
+            const float t = ar[c] - br[c];
+            dr[c] = t * t;
+        }
+    }
+}
+
+void
+bandColSum4(const float *d, size_t stride, int rows, int cols, float *v)
+{
+    for (int r = 0; r < rows; ++r) {
+        const float *d0 = d + static_cast<size_t>(r) * stride;
+        const float *d1 = d0 + stride;
+        const float *d2 = d1 + stride;
+        const float *d3 = d2 + stride;
+        float *vr = v + static_cast<size_t>(r) * stride;
+        int c = 0;
+        for (; c + 4 <= cols; c += 4) {
+            const __m128 s02 =
+                _mm_add_ps(_mm_loadu_ps(d0 + c), _mm_loadu_ps(d2 + c));
+            const __m128 s13 =
+                _mm_add_ps(_mm_loadu_ps(d1 + c), _mm_loadu_ps(d3 + c));
+            _mm_storeu_ps(vr + c, _mm_add_ps(s02, s13));
+        }
+        for (; c < cols; ++c)
+            vr[c] = (d0[c] + d2[c]) + (d1[c] + d3[c]);
+    }
+}
+
+int
+bandFoldSelect(const float *v, size_t v_stride, int rows, int cols,
+               float scale, float tau, const float *cut, int32_t *pruned,
+               size_t ref_stride, int32_t *hit_idx, float *hit_dist)
+{
+    const __m128 vscale = _mm_set1_ps(scale);
+    const __m128 vtau = _mm_set1_ps(tau);
+    const __m128i iota = _mm_setr_epi32(0, 1, 2, 3);
+    int hits = 0;
+    for (int r = 0; r < rows; ++r) {
+        const float *vr = v + static_cast<size_t>(r) * v_stride;
+        const size_t base = static_cast<size_t>(r) * ref_stride;
+        int c = 0;
+        for (; c + 4 <= cols; c += 4) {
+            const __m128 s02 = _mm_add_ps(_mm_loadu_ps(vr + c),
+                                          _mm_loadu_ps(vr + c + 2));
+            const __m128 s13 = _mm_add_ps(_mm_loadu_ps(vr + c + 1),
+                                          _mm_loadu_ps(vr + c + 3));
+            const __m128 dist = _mm_mul_ps(_mm_add_ps(s02, s13), vscale);
+            const size_t i = base + c;
+            const __m128 below = _mm_cmplt_ps(dist, _mm_loadu_ps(cut + i));
+            // Pruned lanes (below tau, not below the cutoff) are -1:
+            // subtracting the mask counts them in int32 lanes.
+            const __m128i prune = _mm_castps_si128(
+                _mm_andnot_ps(below, _mm_cmplt_ps(dist, vtau)));
+            __m128i *pp = reinterpret_cast<__m128i *>(pruned + i);
+            _mm_storeu_si128(pp,
+                             _mm_sub_epi32(_mm_loadu_si128(pp), prune));
+            // Left-pack the hit lanes (index and distance) with one
+            // byte shuffle and advance by their count.
+            const unsigned mask = static_cast<unsigned>(_mm_movemask_ps(below));
+            const __m128i perm = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(kLeftPack4[mask].data()));
+            const __m128i idx = _mm_add_epi32(
+                _mm_set1_epi32(static_cast<int32_t>(i)), iota);
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(hit_idx + hits),
+                             _mm_shuffle_epi8(idx, perm));
+            _mm_storeu_ps(hit_dist + hits,
+                          _mm_castsi128_ps(_mm_shuffle_epi8(
+                              _mm_castps_si128(dist), perm)));
+            hits += _mm_popcnt_u32(mask);
+        }
+        for (; c < cols; ++c)
+            bandSelectLane(vr + c, scale, tau, cut, pruned, base + c,
+                           hit_idx, hit_dist, hits);
+    }
+    return hits;
+}
+
 const KernelTable kSseTableStorage = {
     ssd,           ssdBounded,      ssdFull,       ssdBatch16,
     ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
@@ -1217,6 +1345,7 @@ const KernelTable kSseTableStorage = {
     hardThresholdI16,
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
+    bandSqDiff,    bandColSum4,     bandFoldSelect,
 };
 
 } // namespace

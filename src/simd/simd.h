@@ -354,25 +354,55 @@ struct KernelTable
      */
     int (*haarShrinkFusedI16)(int16_t *g, int stack, int width,
                               int16_t threshold, int16_t factor_q15);
-};
 
-/**
- * Read-prefetch hint: request @p p's cache line into all cache levels
- * ahead of a demand load. Semantically a no-op — issuing, reordering
- * or dropping prefetches never changes a single architectural bit, so
- * the bitwise-determinism contract above is preserved trivially. The
- * block matcher issues these one window row ahead of the SSD scan
- * (DESIGN §15), the CPU analog of IDEALMR's sliding-window prefetcher.
- */
-inline void
-prefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0 /* read */, 3 /* high temporal locality */);
-#else
-    (void)p;
-#endif
-}
+    // ---- displacement-major BM2 band scan (DESIGN §16) -----------
+    //
+    // For one displacement d, the color-domain distances of a whole
+    // band of 4x4 references factor into three lane-vertical passes
+    // whose adds replay ssdSoaBatch's canonical tree at len 16:
+    // squared differences D, patch-column sums V = (D0+D2)+(D1+D3)
+    // (the tree's first two levels), and the column fold
+    // (V0+V2)+(V1+V3) (its last two). Every variant computes the same
+    // per-element expressions, so results are bitwise equal across
+    // levels and to the per-candidate ssdSoaBatch distances.
+
+    /**
+     * Squared-difference rows: d[r * d_stride + c] =
+     * (a[r * stride + c] - b[r * stride + c])^2 for r in [0, rows),
+     * c in [0, cols). @p d must not alias the inputs.
+     */
+    void (*bandSqDiff)(const float *a, const float *b, size_t stride,
+                       int rows, int cols, float *d, size_t d_stride);
+
+    /**
+     * 4-row patch-column sums: v[r * stride + c] =
+     * (d[r][c] + d[r+2][c]) + (d[r+1][c] + d[r+3][c]) for r in
+     * [0, rows), reading rows + 3 rows of @p d (row pitch @p stride,
+     * shared by @p v). @p v must not alias @p d.
+     */
+    void (*bandColSum4)(const float *d, size_t stride, int rows, int cols,
+                        float *v);
+
+    /**
+     * Column fold and match selection of a band of references. For
+     * r in [0, rows), c in [0, cols), with p = v + r * v_stride + c
+     * and i = r * ref_stride + c:
+     *   dist = ((p[0] + p[2]) + (p[1] + p[3])) * scale;
+     *   dist <  cut[i]        -> hit: append i to @p hit_idx and dist
+     *                            to @p hit_dist (ascending i);
+     *   else if dist < tau    -> ++pruned[i] (int32 lanes).
+     * NaN distances are neither. Returns the hit count; the caller
+     * inserts the hits and tightens cut[]. Row r of @p v must hold
+     * cols + 3 values; @p hit_idx and @p hit_dist need room for
+     * rows * cols + 8 entries (variants store whole vectors past the
+     * last hit).
+     */
+    int (*bandFoldSelect)(const float *v, size_t v_stride, int rows,
+                          int cols, float scale, float tau,
+                          const float *cut, int32_t *pruned,
+                          size_t ref_stride, int32_t *hit_idx,
+                          float *hit_dist);
+};
 
 /** Best level this CPU supports (probed once). */
 Level bestSupported();

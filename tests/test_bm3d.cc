@@ -9,10 +9,16 @@
  * window would dominate runtime without adding coverage.
  */
 
+#include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bm3d/bandscan.h"
+#include "bm3d/blockmatch.h"
 #include "bm3d/bm3d.h"
 #include "bm3d/patchfield.h"
 #include "image/metrics.h"
@@ -778,8 +784,7 @@ TEST(Bm3dBand, BitwiseMatrixAcrossLevelsThreadsPrecisions)
     // The PR's acceptance matrix: band scheduling reorders work, never
     // arithmetic — for each matching precision the banded pipeline's
     // output equals the stage-major reference bit for bit, at every
-    // SIMD dispatch level and thread count, with prefetch both off and
-    // on (prefetches are pure hints).
+    // SIMD dispatch level and thread count.
     auto scene = makeTestScene(image::SceneKind::Street, 48, 25.0f, 60);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
@@ -795,23 +800,15 @@ TEST(Bm3dBand, BitwiseMatrixAcrossLevelsThreadsPrecisions)
              ++l) {
             simd::setLevel(static_cast<simd::Level>(l));
             for (int threads : {1, 8}) {
-                for (bool prefetch : {false, true}) {
-                    banded.numThreads = threads;
-                    banded.prefetch = prefetch;
-                    auto r = Bm3d(banded).denoise(scene.noisy);
-                    SCOPED_TRACE(testing::Message()
-                                 << "precision="
-                                 << static_cast<int>(precision)
-                                 << " level="
-                                 << simd::toString(
-                                        static_cast<simd::Level>(l))
-                                 << " threads=" << threads
-                                 << " prefetch=" << prefetch);
-                    EXPECT_EQ(image::maxAbsDiff(ref.basic, r.basic),
-                              0.0);
-                    EXPECT_EQ(image::maxAbsDiff(ref.output, r.output),
-                              0.0);
-                }
+                banded.numThreads = threads;
+                auto r = Bm3d(banded).denoise(scene.noisy);
+                SCOPED_TRACE(testing::Message()
+                             << "precision=" << static_cast<int>(precision)
+                             << " level="
+                             << simd::toString(static_cast<simd::Level>(l))
+                             << " threads=" << threads);
+                EXPECT_EQ(image::maxAbsDiff(ref.basic, r.basic), 0.0);
+                EXPECT_EQ(image::maxAbsDiff(ref.output, r.output), 0.0);
             }
         }
         simd::setLevel(simd::bestSupported());
@@ -917,28 +914,6 @@ TEST(Bm3dBand, WienerDisabledStillBands)
     EXPECT_EQ(image::maxAbsDiff(ref.output, r.output), 0.0);
 }
 
-TEST(Bm3dBand, PrefetchAloneIsBitwiseNoOp)
-{
-    // The prefetch knob without banding: same stage-major schedule,
-    // hints only — outputs and candidate counts identical.
-    auto scene = makeTestScene(image::SceneKind::Street, 48, 25.0f, 66);
-    for (bm3d::Precision precision :
-         {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
-        Bm3dConfig cfg = smallConfig();
-        cfg.precision = precision;
-        auto ref = Bm3d(cfg).denoise(scene.noisy);
-        cfg.prefetch = true;
-        auto r = Bm3d(cfg).denoise(scene.noisy);
-        SCOPED_TRACE(static_cast<int>(precision));
-        EXPECT_EQ(image::maxAbsDiff(ref.basic, r.basic), 0.0);
-        EXPECT_EQ(image::maxAbsDiff(ref.output, r.output), 0.0);
-        EXPECT_EQ(ref.profile.mr().bm1Candidates,
-                  r.profile.mr().bm1Candidates);
-        EXPECT_EQ(ref.profile.mr().bm2Candidates,
-                  r.profile.mr().bm2Candidates);
-    }
-}
-
 TEST(Bm3dBand, CountersAndFootprintGauges)
 {
     // The deterministic band counters CI gates with --ops-tolerance 0,
@@ -1025,4 +1000,258 @@ TEST(Bm3dFused, Int16SpectrumStaysWithinSnrEnvelope)
         image::psnrDb(scene.clean, r_float.output);
     const double psnr_i16 = image::psnrDb(scene.clean, r_i16.output);
     EXPECT_GT(psnr_i16, psnr_float - 0.1);
+}
+
+// ---------------------------------------------------------------------
+// Golden output pins: Bm3d::denoise hashes recorded from the code
+// before the displacement-major BM2 scan (DESIGN §16) existed. Every
+// SIMD level, thread count and schedule must reproduce them, so new
+// matching paths are checked against the old arithmetic rather than
+// against themselves.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over the float bit patterns: bitwise output equality. */
+uint64_t
+hashImage(const image::ImageF &img)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (float v : img.raw()) {
+        uint32_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(Bm3dGolden, PinnedHashesAcrossLevelsThreadsSchedules)
+{
+    struct Pin
+    {
+        image::SceneKind kind;
+        uint64_t basic;
+        uint64_t output;
+    };
+    const Pin pins[] = {
+        {image::SceneKind::Street, 0x31ca9c8edf3532ffull,
+         0xad47617371594debull},
+        {image::SceneKind::Texture, 0x511903253e1238c0ull,
+         0x89824cb49948036dull},
+    };
+    for (const Pin &pin : pins) {
+        auto scene = makeTestScene(pin.kind, 128, 25.0f, 90);
+        for (int l = 0; l <= static_cast<int>(simd::bestSupported());
+             ++l) {
+            simd::setLevel(static_cast<simd::Level>(l));
+            for (int threads : {1, 4}) {
+                for (bool banded : {false, true}) {
+                    Bm3dConfig cfg; // paper defaults: windows 49 / 39
+                    cfg.numThreads = threads;
+                    cfg.band.enabled = banded;
+                    auto r = Bm3d(cfg).denoise(scene.noisy);
+                    SCOPED_TRACE(testing::Message()
+                                 << image::toString(pin.kind) << " level="
+                                 << simd::toString(
+                                        static_cast<simd::Level>(l))
+                                 << " threads=" << threads
+                                 << " banded=" << banded);
+                    EXPECT_EQ(hashImage(r.basic), pin.basic)
+                        << std::hex << "basic 0x" << hashImage(r.basic);
+                    EXPECT_EQ(hashImage(r.output), pin.output)
+                        << std::hex << "output 0x" << hashImage(r.output);
+                }
+            }
+        }
+    }
+    simd::setLevel(simd::bestSupported());
+}
+
+// ---------------------------------------------------------------------
+// Displacement-major BM2 band scan (DESIGN §16): differential test
+// against the per-reference window scan it replaces.
+// ---------------------------------------------------------------------
+
+namespace {
+
+uint32_t
+floatBits(float v)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/**
+ * Run the band scan over [x0, x0+nx) x [y0, y0+ny) and compare every
+ * reference with BlockMatcher<ColorMatchDomain>::search: list length,
+ * each match's position and distance bits (so tie order too), the
+ * evaluated count and the pruned count. Returns a description of the
+ * first difference, or an empty string.
+ */
+std::string
+bandScanDiff(bm3d::Bm2BandScan &scan, const image::ImageF &plane,
+             int window, int max_matches, float tau, int x0, int nx,
+             int y0, int ny)
+{
+    const bm3d::ColorMatchDomain domain(plane, 4);
+    const bm3d::BlockMatcher<bm3d::ColorMatchDomain> matcher(
+        domain, window, 1, 1, tau, max_matches);
+    scan.run(domain, window, tau, max_matches, x0, nx, y0, ny);
+    for (int yi = 0; yi < ny; ++yi) {
+        for (int xi = 0; xi < nx; ++xi) {
+            const int i = yi * nx + xi;
+            const int x = x0 + xi;
+            const int y = y0 + yi;
+            bm3d::MatchList want;
+            uint64_t want_pruned = 0;
+            const uint64_t want_evaluated = matcher.search(
+                x, y, want, std::numeric_limits<float>::infinity(),
+                &want_pruned);
+            const bm3d::MatchList &got = scan.matches(i);
+            std::ostringstream where;
+            where << "ref (" << x << ", " << y << "): ";
+            if (got.size() != want.size())
+                return where.str() + "list size " +
+                       std::to_string(got.size()) + " vs " +
+                       std::to_string(want.size());
+            for (int k = 0; k < got.size(); ++k) {
+                if (got[k].x != want[k].x || got[k].y != want[k].y ||
+                    floatBits(got[k].distance) !=
+                        floatBits(want[k].distance)) {
+                    where << "match " << k << " (" << got[k].x << ", "
+                          << got[k].y << ", " << got[k].distance
+                          << ") vs (" << want[k].x << ", " << want[k].y
+                          << ", " << want[k].distance << ")";
+                    return where.str();
+                }
+            }
+            if (scan.evaluated(i) != want_evaluated)
+                return where.str() + "evaluated " +
+                       std::to_string(scan.evaluated(i)) + " vs " +
+                       std::to_string(want_evaluated);
+            if (scan.pruned(i) != want_pruned)
+                return where.str() + "pruned " +
+                       std::to_string(scan.pruned(i)) + " vs " +
+                       std::to_string(want_pruned);
+        }
+    }
+    return "";
+}
+
+struct ScanRect
+{
+    int x0, nx, y0, ny;
+};
+
+/** Tile-shaped rectangles covering a whole position grid. */
+std::vector<ScanRect>
+coverGrid(int pos_x, int pos_y, int tile_w, int band_rows)
+{
+    std::vector<ScanRect> rects;
+    for (int y = 0; y < pos_y; y += band_rows)
+        for (int x = 0; x < pos_x; x += tile_w)
+            rects.push_back({x, std::min(tile_w, pos_x - x), y,
+                             std::min(band_rows, pos_y - y)});
+    return rects;
+}
+
+} // namespace
+
+TEST(Bm2BandScan, MatchesPerReferenceSearchBitwise)
+{
+    struct Frame
+    {
+        std::string name;
+        image::ImageF plane;
+        std::vector<ScanRect> rects;
+    };
+    std::vector<Frame> frames;
+    {
+        // 512^2: 509 positions, 64-wide tiles (the last 61 wide) and
+        // 8-row bands (the last 5 rows) — image corners, interior tile
+        // edges and both partial shapes.
+        auto s = makeTestScene(image::SceneKind::Street, 512, 10.0f, 95);
+        frames.push_back({"street512", s.noisy,
+                          {{0, 64, 0, 8},
+                           {448, 61, 0, 8},
+                           {0, 64, 504, 5},
+                           {448, 61, 504, 5},
+                           {64, 64, 56, 8},
+                           {192, 64, 64, 8}}});
+    }
+    {
+        auto s = image::addGaussianNoise(
+            image::makeScene(image::SceneKind::Nature, 37, 29, 1, 96), 10.0f,
+            97);
+        frames.push_back({"37x29", s, coverGrid(34, 26, 16, 8)});
+    }
+    {
+        // Smaller than every window: each reference's window clips on
+        // all four sides.
+        auto s = makeTestScene(image::SceneKind::Texture, 12, 10.0f, 98);
+        frames.push_back({"12x12", s.noisy, coverGrid(9, 9, 4, 3)});
+    }
+    {
+        auto s = image::addGaussianNoise(
+            image::makeScene(image::SceneKind::Street, 40, 36, 1, 99), 10.0f,
+            100);
+        s.plane(0)[11 * 40 + 17] = std::numeric_limits<float>::quiet_NaN();
+        frames.push_back({"nan40x36", s, coverGrid(37, 33, 16, 8)});
+    }
+
+    for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
+        simd::setLevel(static_cast<simd::Level>(l));
+        bm3d::Bm2BandScan scan; // reused: scratch resizes across shapes
+        for (const Frame &f : frames) {
+            for (int window : {5, 39}) {
+                for (int max_matches : {1, 16}) {
+                    for (float tau : {400.0f, 1e30f}) {
+                        for (const ScanRect &r : f.rects) {
+                            SCOPED_TRACE(
+                                testing::Message()
+                                << f.name << " level="
+                                << simd::toString(
+                                       static_cast<simd::Level>(l))
+                                << " window=" << window
+                                << " maxMatches=" << max_matches
+                                << " tau=" << tau << " rect=(" << r.x0
+                                << ", " << r.y0 << ", " << r.nx << "x"
+                                << r.ny << ")");
+                            EXPECT_EQ(bandScanDiff(scan, f.plane, window,
+                                                   max_matches, tau,
+                                                   r.x0, r.nx, r.y0,
+                                                   r.ny),
+                                      "");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    simd::setLevel(simd::bestSupported());
+}
+
+TEST(Bm2BandScan, EligibilityFollowsConfig)
+{
+    Bm3dConfig cfg;
+    EXPECT_TRUE(bm3d::bm2BandScanEligible(cfg)); // paper stage 2
+    auto ineligible = [](auto mutate) {
+        Bm3dConfig c;
+        mutate(c);
+        return !bm3d::bm2BandScanEligible(c);
+    };
+    EXPECT_TRUE(ineligible([](Bm3dConfig &c) { c.patchSize = 8; }));
+    EXPECT_TRUE(ineligible([](Bm3dConfig &c) { c.searchStride = 2; }));
+    EXPECT_TRUE(ineligible([](Bm3dConfig &c) { c.refStride = 2; }));
+    EXPECT_TRUE(ineligible([](Bm3dConfig &c) { c.mr.enabled = true; }));
+    EXPECT_TRUE(ineligible(
+        [](Bm3dConfig &c) { c.variant.adaptiveBound = true; }));
+    EXPECT_TRUE(ineligible(
+        [](Bm3dConfig &c) { c.variant.coarseToFine = true; }));
 }

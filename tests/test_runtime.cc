@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -162,7 +163,6 @@ TEST_F(RuntimeTest, BandScheduleComposesWithStreamBitwise)
     const auto plain_stream = streamOutputs(cfg, clip);
     cfg.frame.band.enabled = true;
     cfg.frame.band.rows = 8;
-    cfg.frame.prefetch = true;
     const auto banded_batch = batchOutputs(cfg.frame, clip);
     const auto banded_stream = streamOutputs(cfg, clip);
     ASSERT_EQ(plain_stream.size(), banded_stream.size());
@@ -272,6 +272,41 @@ TEST_F(RuntimeTest, ArenaIsMallocFreeInSteadyState)
     EXPECT_GT(stats.arenaBytesNew, 0u); // warm-up did allocate
     EXPECT_EQ(stats.latenciesMs.size(), static_cast<size_t>(frames));
     EXPECT_GT(stats.wallSeconds, 0.0);
+}
+
+// A caller that recycles every output while submitting fresh frames
+// hands the stream two buffers per frame (the donated input and the
+// recycled output) but the pipeline draws back only one output per
+// frame. The free list must stay bounded instead of growing by a frame
+// per frame, and capping it must not cost a steady-state allocation.
+TEST_F(RuntimeTest, RecycledOutputsAndFreshInputsKeepFreeListBounded)
+{
+    const int frames = 40;
+    const auto clip = staticClip(4, 32, 32, 25.0f, 71);
+    StreamConfig cfg = smallStreamConfig(2);
+
+    StreamDenoiser stream(cfg);
+    std::vector<uint64_t> free_buffers;
+    for (int f = 0; f < frames; ++f) {
+        stream.submit(image::ImageF(clip[f % clip.size()]));
+        stream.recycle(stream.collect());
+        free_buffers.push_back(stream.arena().stats().freeBuffers);
+    }
+    stream.finish();
+
+    const StreamStats stats = stream.stats();
+    EXPECT_EQ(stats.frames, static_cast<uint64_t>(frames));
+    EXPECT_EQ(stats.arenaBytesNewSteady, 0u);
+    EXPECT_GT(stream.arena().stats().dropped, 0u);
+    // Bounded: the second half of the run holds no more free buffers
+    // than the first half's high-water mark.
+    const uint64_t first_half =
+        *std::max_element(free_buffers.begin(),
+                          free_buffers.begin() + frames / 2);
+    const uint64_t second_half = *std::max_element(
+        free_buffers.begin() + frames / 2, free_buffers.end());
+    EXPECT_LE(second_half, first_half);
+    EXPECT_LT(free_buffers.back(), static_cast<uint64_t>(frames / 2));
 }
 
 TEST_F(RuntimeTest, LifecycleErrors)

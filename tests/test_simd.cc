@@ -183,6 +183,9 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
         EXPECT_NE(k.haarForwardPairI16, nullptr);
         EXPECT_NE(k.haarInversePairI16, nullptr);
         EXPECT_NE(k.hardThresholdI16, nullptr);
+        EXPECT_NE(k.bandSqDiff, nullptr);
+        EXPECT_NE(k.bandColSum4, nullptr);
+        EXPECT_NE(k.bandFoldSelect, nullptr);
     }
 }
 
@@ -1040,6 +1043,88 @@ TEST_F(SimdParity, AggregateGroupMatchesDiscreteSequence)
                          << " stack=" << stack);
             expectBitEqual(num_ref.data(), num.data(), n, "num");
             expectBitEqual(den_ref.data(), den.data(), n, "den");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Displacement-major BM2 band-scan rows (DESIGN §16).
+// ---------------------------------------------------------------------
+
+TEST_F(SimdParity, BandScanRowsMatchScalarBitwise)
+{
+    // Widths cover whole vectors, scalar tails and sub-vector rows;
+    // NaN, infinity and signed zeros ride through every pass.
+    Rng rng(1717);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
+    for (int cols : {1, 3, 4, 7, 8, 9, 16, 21, 64}) {
+        const int rows = 5;
+        const size_t stride = static_cast<size_t>(cols) + 11;
+        const size_t pitch = static_cast<size_t>(cols) + 3;
+        std::vector<float> a(stride * (rows + 3)), b(a.size());
+        for (size_t i = 0; i < a.size(); ++i) {
+            a[i] = rng.uniform(-255.0f, 255.0f);
+            b[i] = rng.uniform(-255.0f, 255.0f);
+        }
+        a[1] = -0.0f;
+        b[1] = 0.0f;
+        a[stride + 2] = nan;
+        b[2 * stride] = inf;
+
+        const int d_cols = cols + 3;
+        std::vector<float> d_ref(pitch * (rows + 3));
+        std::vector<float> v_ref(pitch * rows);
+        ref.bandSqDiff(a.data(), b.data(), stride, rows + 3, d_cols,
+                       d_ref.data(), pitch);
+        ref.bandColSum4(d_ref.data(), pitch, rows, d_cols, v_ref.data());
+
+        // Cutoffs around the distance scale (mean squared difference
+        // ~43k), so hits, pruned and rejected lanes all occur; tau
+        // sits below some cutoffs too.
+        const float tau = 45000.0f;
+        std::vector<float> cut(static_cast<size_t>(rows) * cols);
+        for (float &c : cut)
+            c = rng.uniform(0.0f, 90000.0f);
+        const size_t n = cut.size();
+        std::vector<int32_t> pruned_ref(n, 7), idx_ref(n + 8);
+        std::vector<float> dist_ref(n + 8);
+        const int hits_ref = ref.bandFoldSelect(
+            v_ref.data(), pitch, rows, cols, 1.0f / 16.0f, tau, cut.data(),
+            pruned_ref.data(), cols, idx_ref.data(), dist_ref.data());
+
+        for (simd::Level level : availableLevels()) {
+            const simd::KernelTable &k = simd::kernelsFor(level);
+            SCOPED_TRACE(testing::Message() << "level="
+                                            << simd::toString(level)
+                                            << " cols=" << cols);
+            std::vector<float> d(d_ref.size(), -1.0f);
+            std::vector<float> v(v_ref.size(), -1.0f);
+            k.bandSqDiff(a.data(), b.data(), stride, rows + 3, d_cols,
+                         d.data(), pitch);
+            k.bandColSum4(d.data(), pitch, rows, d_cols, v.data());
+            for (int r = 0; r < rows + 3; ++r)
+                expectBitEqual(d_ref.data() + r * pitch,
+                               d.data() + r * pitch, d_cols, "bandSqDiff");
+            for (int r = 0; r < rows; ++r)
+                expectBitEqual(v_ref.data() + r * pitch,
+                               v.data() + r * pitch, d_cols,
+                               "bandColSum4");
+
+            std::vector<int32_t> pruned(n, 7), idx(n + 8);
+            std::vector<float> dist(n + 8);
+            const int hits = k.bandFoldSelect(
+                v.data(), pitch, rows, cols, 1.0f / 16.0f, tau,
+                cut.data(), pruned.data(), cols, idx.data(), dist.data());
+            ASSERT_EQ(hits, hits_ref);
+            if (cols >= 8) // narrower rows are all NaN/inf lanes
+                EXPECT_GT(hits, 0);
+            for (int h = 0; h < hits; ++h) {
+                EXPECT_EQ(idx[h], idx_ref[h]) << "hit " << h;
+                expectBitEqual(dist_ref[h], dist[h], "hit distance", h);
+            }
+            EXPECT_EQ(pruned, pruned_ref);
         }
     }
 }
