@@ -11,15 +11,18 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "bench/common.h"
 #include "bm3d/bandscan.h"
 #include "bm3d/blockmatch.h"
+#include "bm3d/patchfield.h"
 #include "fixed/int16plan.h"
 #include "image/noise.h"
 #include "image/synthetic.h"
 #include "simd/simd.h"
+#include "transforms/dct.h"
 
 using namespace ideal;
 
@@ -117,7 +120,9 @@ main(int argc, char **argv)
         {"haar_shrink_fused", {}},              {"wiener_shrink_fused", {}},
         {"aggregate_group", {}},    {"haar_shrink_fused_int16", {}},
         {"ssd_scan", {}},           {"bm2_scan_ref", {}},
-        {"bm2_scan_band", {}},
+        {"bm2_scan_band", {}},      {"bm1_scan_ref", {}},
+        {"bm1_scan_lane", {}},      {"bm1_scan_ref_edge", {}},
+        {"bm1_scan_lane_edge", {}},  {"bm1_lane_kernel", {}},
     };
 
     // Coefficient-major view of the pool for the SoA kernels: plane k
@@ -181,9 +186,32 @@ main(int argc, char **argv)
     const bm3d::ColorMatchDomain bm2_domain(bm2_plane, 4);
     const bm3d::BlockMatcher<bm3d::ColorMatchDomain> bm2_matcher(
         bm2_domain, 39, 1, 1, 400.0f, 16);
-    bm3d::Bm2BandScan bm2_scan;
+    bm3d::BandScan band_scan; // scratch shared by the BM2 and BM1 rows
     const int bm2_iters = quick ? 4 : 10;
     const int bm2_x0 = 32, bm2_y0 = 24; // window stays inside the image
+
+    // BM1 window scan of one 64-reference row at the paper's stage-1
+    // window (49) over the thresholded-DCT field of a sigma-25 street
+    // scene: the per-reference BlockMatcher::search versus the
+    // reference-lane band scan (DESIGN §16), bitwise the same lists.
+    // The interior row keeps every window inside the image; the edge
+    // row starts at the top-left corner, so windows clip and the
+    // first groups mask their out-of-image lanes.
+    const image::ImageF bm1_plane = image::addGaussianNoise(
+        image::makeScene(image::SceneKind::Street, 128, 64, 1, 9), 25.0f,
+        10);
+    const transforms::Dct2D bm1_dct(4);
+    const bm3d::DctPatchField bm1_field(bm1_plane, bm1_dct, 2.0f * 25.0f,
+                                        std::nullopt, nullptr);
+    const bm3d::DctMatchDomain bm1_domain(bm1_field);
+    const bm3d::BlockMatcher<bm3d::DctMatchDomain> bm1_matcher(
+        bm1_domain, 49, 1, 1, 3000.0f, 16);
+    const int bm1_iters = quick ? 4 : 20;
+    struct Bm1Row
+    {
+        int x0, y0;
+    };
+    const Bm1Row bm1_rows[] = {{32, 30}, {0, 0}}; // interior, edge
 
     for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
         const auto level = static_cast<simd::Level>(l);
@@ -432,10 +460,57 @@ main(int argc, char **argv)
         });
         record([&] {
             for (int it = 0; it < bm2_iters; ++it) {
-                bm2_scan.run(bm2_domain, 39, 400.0f, 16, bm2_x0, 64,
-                             bm2_y0, 8);
-                g_sink += static_cast<float>(bm2_scan.matches(0).size());
+                band_scan.run(bm2_domain, 39, 400.0f, 16, bm2_x0, 64,
+                              bm2_y0, 8);
+                g_sink +=
+                    static_cast<float>(band_scan.matches(0).size());
             }
+        });
+        for (const Bm1Row &br : bm1_rows) {
+            record([&] {
+                bm3d::MatchList list;
+                for (int it = 0; it < bm1_iters; ++it)
+                    for (int x = br.x0; x < br.x0 + 64; ++x) {
+                        bm1_matcher.search(x, br.y0, list);
+                        g_sink += static_cast<float>(list.size());
+                    }
+            });
+            record([&] {
+                for (int it = 0; it < bm1_iters; ++it) {
+                    band_scan.run(bm1_domain, 49, 3000.0f, 16, br.x0,
+                                  64, br.y0, 1);
+                    g_sink +=
+                        static_cast<float>(band_scan.matches(0).size());
+                }
+            });
+        }
+        // The bare bm1LaneScan calls of the interior row (8 groups x 49
+        // window rows) against zero cutoffs: scoring and selection with
+        // no hit to replay. bm1_scan_lane minus this row is the
+        // match-list insertion the lane scan leaves to the caller.
+        record([&] {
+            const float *const *planes = bm1_field.matchPlanes();
+            const Bm1Row &br = bm1_rows[0];
+            float ref[16 * 8];
+            const float cut[8] = {};
+            int32_t pruned[8] = {};
+            std::vector<int32_t> idx(49 * 8 + 8);
+            std::vector<float> dist(idx.size());
+            for (int it = 0; it < bm1_iters; ++it)
+                for (int g = 0; g < 64; g += 8) {
+                    const size_t off =
+                        bm1_field.matchOffset(br.x0 + g, br.y0);
+                    for (int c = 0; c < 16; ++c)
+                        for (int l = 0; l < 8; ++l)
+                            ref[c * 8 + l] = planes[c][off + l];
+                    for (int cy = br.y0 - 24; cy <= br.y0 + 24; ++cy)
+                        g_sink += static_cast<float>(k.bm1LaneScan(
+                            ref, 8, planes, bm1_field.matchOffset(0, cy),
+                            br.x0 + g - 24, bm1_field.positionsX(), 49,
+                            cy == br.y0 ? 24 : -1, 1.0f / 16.0f, 3000.0f,
+                            cut, pruned, idx.data(), dist.data()));
+                }
+            g_sink += static_cast<float>(pruned[0]);
         });
         simd::setLevel(simd::bestSupported());
     }
@@ -451,6 +526,10 @@ main(int argc, char **argv)
     std::printf("(bm2_scan_*: total ms for %d scans of one 64x8 reference "
                 "band at window 39)\n",
                 bm2_iters);
+    std::printf("(bm1_scan_*: total ms for %d scans of one 64-reference "
+                "row at window 49; bm1_lane_kernel: their %d bare "
+                "bm1LaneScan calls)\n",
+                bm1_iters, bm1_iters * 8 * 49);
 
     rec.wallTimeS = msSince(t_total) / 1e3;
     rec.write();

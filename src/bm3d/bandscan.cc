@@ -1,6 +1,5 @@
 #include "bm3d/bandscan.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "simd/simd.h"
@@ -8,47 +7,66 @@
 namespace ideal {
 namespace bm3d {
 
+namespace {
+
+constexpr int kPatch = 4;
+constexpr int kCoefs = kPatch * kPatch;
+
+/** References per BM1 lane group (bm1LaneScan's lane count). */
+constexpr int kLanes = 8;
+
+} // namespace
+
 bool
-bm2BandScanEligible(const Bm3dConfig &cfg)
+bandScanEligible(const Bm3dConfig &cfg)
 {
-    return cfg.patchSize == 4 && cfg.searchStride == 1 &&
+    return cfg.patchSize == kPatch && cfg.searchStride == 1 &&
            cfg.refStride == 1 && !cfg.mr.enabled &&
            !cfg.variant.adaptiveBound && !cfg.variant.coarseToFine;
 }
 
 void
-Bm2BandScan::run(const ColorMatchDomain &domain, int window, float tau,
-                 int max_matches, int x0, int nx, int y0, int ny)
+BandScan::begin(int pos_x, int pos_y, int window, float tau,
+                int max_matches, int x0, int nx, int y0, int ny)
 {
-    constexpr int kPatch = 4;
-    if (domain.patchSize() != kPatch)
-        throw std::invalid_argument("Bm2BandScan: 4x4 patches only");
     half_ = (window - 1) / 2;
-    posX_ = domain.positionsX();
-    posY_ = domain.positionsY();
+    posX_ = pos_x;
+    posY_ = pos_y;
     x0_ = x0;
     nx_ = nx;
     y0_ = y0;
+    tau_ = tau;
     const size_t refs = static_cast<size_t>(nx) * ny;
-    // D and V rows share one pitch: a reference row plus the patch's
-    // extra 3 columns.
-    const size_t pitch = static_cast<size_t>(nx) + kPatch - 1;
     lists_.resize(refs);
     cut_.assign(refs, tau);
     pruned_.assign(refs, 0);
-    diff_.resize(pitch * (ny + kPatch - 1));
-    colSum_.resize(pitch * ny);
-    hitIdx_.resize(refs + 8); // + bandFoldSelect's vector overrun
-    hitDist_.resize(refs + 8);
     for (int i = 0; i < nx * ny; ++i) {
         lists_[i] = MatchList(max_matches);
         lists_[i].insert(Match{x0 + i % nx, y0 + i / nx, 0.0f});
     }
+}
+
+void
+BandScan::run(const ColorMatchDomain &domain, int window, float tau,
+              int max_matches, int x0, int nx, int y0, int ny)
+{
+    if (domain.patchSize() != kPatch)
+        throw std::invalid_argument("BandScan: 4x4 patches only");
+    begin(domain.positionsX(), domain.positionsY(), window, tau,
+          max_matches, x0, nx, y0, ny);
+    const size_t refs = static_cast<size_t>(nx) * ny;
+    // D and V rows share one pitch: a reference row plus the patch's
+    // extra 3 columns.
+    const size_t pitch = static_cast<size_t>(nx) + kPatch - 1;
+    diff_.resize(pitch * (ny + kPatch - 1));
+    colSum_.resize(pitch * ny);
+    hitIdx_.resize(refs + 8); // + bandFoldSelect's vector overrun
+    hitDist_.resize(refs + 8);
 
     const simd::KernelTable &k = simd::kernels();
     const float *img = domain.pixels();
     const size_t stride = domain.rowStride();
-    const float norm = 1.0f / static_cast<float>(kPatch * kPatch);
+    const float norm = 1.0f / static_cast<float>(kCoefs);
     for (int dy = -half_; dy <= half_; ++dy) {
         // References whose candidate row y + dy is a valid position.
         const int ry_lo = std::max(y0, -dy);
@@ -79,21 +97,63 @@ Bm2BandScan::run(const ColorMatchDomain &domain, int window, float tau,
                 colSum_.data(), pitch, rows, cols, norm, tau,
                 cut_.data() + base, pruned_.data() + base, nx,
                 hitIdx_.data(), hitDist_.data());
-            // Below-cutoff lanes (a few percent): the same insert and
-            // cutoff update BlockMatcher::considerRun performs.
             for (int h = 0; h < hits; ++h) {
                 const int i = static_cast<int>(base) + hitIdx_[h];
-                MatchList &l = lists_[i];
-                l.insert(Match{x0 + i % nx + dx, y0 + i / nx + dy,
-                               hitDist_[h]});
-                cut_[i] = std::min(cut_[i], l.worstDistance());
+                accept(i, x0 + i % nx + dx, y0 + i / nx + dy, hitDist_[h]);
+            }
+        }
+    }
+}
+
+void
+BandScan::run(const DctMatchDomain &domain, int window, float tau,
+              int max_matches, int x0, int nx, int y0, int ny)
+{
+    const DctPatchField &field = domain.field();
+    if (field.coefs() != kCoefs)
+        throw std::invalid_argument("BandScan: 4x4 patches only");
+    begin(domain.positionsX(), domain.positionsY(), window, tau,
+          max_matches, x0, nx, y0, ny);
+    hitIdx_.resize(static_cast<size_t>(window) * kLanes + kLanes);
+    hitDist_.resize(hitIdx_.size());
+
+    const simd::KernelTable &k = simd::kernels();
+    const float *const *planes = field.matchPlanes();
+    const float norm = 1.0f / static_cast<float>(kCoefs);
+    float ref[kCoefs * kLanes];
+    for (int r = 0; r < ny; ++r) {
+        const int ry = y0 + r;
+        const int cy_lo = std::max(0, ry - half_);
+        const int cy_hi = std::min(posY_ - 1, ry + half_);
+        for (int g = 0; g < nx; g += kLanes) {
+            // One group: up to 8 adjacent references, descriptors held
+            // lane-major, scored against each window row in turn.
+            const int lanes = std::min(kLanes, nx - g);
+            const int rx0 = x0 + g;
+            const int i0 = r * nx + g;
+            const size_t ref_off = field.matchOffset(rx0, ry);
+            for (int c = 0; c < kCoefs; ++c)
+                for (int l = 0; l < kLanes; ++l)
+                    ref[c * kLanes + l] =
+                        l < lanes ? planes[c][ref_off + l] : 0.0f;
+            for (int cy = cy_lo; cy <= cy_hi; ++cy) {
+                const int hits = k.bm1LaneScan(
+                    ref, lanes, planes, field.matchOffset(0, cy),
+                    rx0 - half_, posX_, window, cy == ry ? half_ : -1, norm,
+                    tau, cut_.data() + i0, pruned_.data() + i0,
+                    hitIdx_.data(), hitDist_.data());
+                for (int h = 0; h < hits; ++h) {
+                    const int l = hitIdx_[h] % kLanes;
+                    const int s = hitIdx_[h] / kLanes;
+                    accept(i0 + l, rx0 - half_ + s + l, cy, hitDist_[h]);
+                }
             }
         }
     }
 }
 
 uint64_t
-Bm2BandScan::evaluated(int i) const
+BandScan::evaluated(int i) const
 {
     const int x = x0_ + i % nx_;
     const int y = y0_ + i / nx_;

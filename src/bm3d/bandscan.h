@@ -3,24 +3,39 @@
 
 /**
  * @file
- * Displacement-major BM2 window scan (DESIGN §16).
+ * Band scans: the BM1 and BM2 window scans of a band of references at
+ * once (DESIGN §16).
  *
  * BlockMatcher::search scores each reference's window on its own:
- * 16 subtract-multiply-adds per candidate. In BM2's color domain two
- * references that are neighbours at the same displacement d share 3
- * of their 4 pixel columns and 3 of their 4 pixel rows, so for a band
- * of references the scan below turns the loop inside out. For each d,
- * visited in the row-major (dy, dx) order every reference's own scan
- * uses, it computes once for the band
- *   D[p] = (I[p] - I[p + d])^2,
- *   V    = (D[r] + D[r+2]) + (D[r+1] + D[r+3])   (4-row column sums),
- * and each reference's distance ((V[c]+V[c+2]) + (V[c+1]+V[c+3])) / 16.
- * Those two sums are exactly the canonical 8-lane fold ssdSoaBatch
- * applies at len 16, so every distance, match list (tie order
- * included), evaluated count and pruned count is bitwise equal to
- * BlockMatcher<ColorMatchDomain>::search at infinite initial bound.
+ * one reference, every candidate of its window, 16 subtract-multiply-
+ * adds per candidate. The scans below visit each reference's
+ * candidates in the same row-major (dy, dx) order but organise the
+ * work across references, with one run per matching domain:
+ *
+ *  - BM2 (color domain), displacement-major: two references that are
+ *    neighbours at the same displacement d share 3 of their 4 pixel
+ *    columns and rows, so for each d the band computes once
+ *      D[p] = (I[p] - I[p + d])^2,
+ *      V    = (D[r] + D[r+2]) + (D[r+1] + D[r+3])   (4-row column sums)
+ *    and each reference's distance ((V[c]+V[c+2]) + (V[c+1]+V[c+3])) / 16.
+ *  - BM1 (thresholded-DCT domain), reference-lane: 8 adjacent
+ *    references sit in the vector lanes with their descriptors held
+ *    while every displacement of a window row streams the candidates
+ *    at +d past them, contiguously in each coefficient plane. This is
+ *    IDEALB's organisation: lock-step engines each hold one reference
+ *    while the patch buffer broadcasts one candidate stream to all of
+ *    them (paper §4). The gain is the loop shape: no scalar tail per
+ *    window row, no separate normalisation pass, and one vector
+ *    compare per 8 candidates instead of a branch per candidate.
+ *
+ * Both evaluate exactly the canonical 8-lane fold ssdSoaBatch applies
+ * at len 16 and replay below-cutoff candidates with
+ * BlockMatcher::considerRun's rule, so every distance, match list (tie
+ * order included), evaluated count and pruned count is bitwise equal
+ * to BlockMatcher<Domain>::search at infinite initial bound.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,20 +47,21 @@ namespace ideal {
 namespace bm3d {
 
 /**
- * Whether the stage-2 search of @p cfg may run displacement-major:
- * 4x4 patches, search and reference strides of 1, no Matches Reuse, no
+ * Whether the window scans of @p cfg may run as band scans: 4x4
+ * patches, search and reference strides of 1, no Matches Reuse, no
  * adaptive bound and no coarse-to-fine grid (those chain state across
- * consecutive references, or skip them). Temporal seeding never
- * applies to BM2. Every other configuration keeps
- * BlockMatcher::search.
+ * consecutive references, or skip them). The float matching domains
+ * only; BM1 additionally needs a run without temporal seeding (the
+ * seeded scan visits a different candidate set). Every other
+ * configuration keeps BlockMatcher::search.
  */
-bool bm2BandScanEligible(const Bm3dConfig &cfg);
+bool bandScanEligible(const Bm3dConfig &cfg);
 
 /**
- * Band-of-references BM2 scan with reusable scratch (one per worker;
- * steady-state runs allocate nothing).
+ * Band-of-references window scan with reusable scratch (one per
+ * worker; steady-state runs allocate nothing).
  */
-class Bm2BandScan
+class BandScan
 {
   public:
     /**
@@ -56,6 +72,10 @@ class Bm2BandScan
      * @p domain must use 4x4 patches.
      */
     void run(const ColorMatchDomain &domain, int window, float tau,
+             int max_matches, int x0, int nx, int y0, int ny);
+
+    /** The same search over BM1's thresholded-DCT field. */
+    void run(const DctMatchDomain &domain, int window, float tau,
              int max_matches, int x0, int nx, int y0, int ny);
 
     /** Match list of reference i (row-major in the last rectangle). */
@@ -72,17 +92,41 @@ class Bm2BandScan
     }
 
   private:
+    /** Size the per-reference state and seed every list. */
+    void begin(int pos_x, int pos_y, int window, float tau,
+               int max_matches, int x0, int nx, int y0, int ny);
+
+    /**
+     * BlockMatcher::considerRun's rule for candidate (x, y) of
+     * reference i at distance @p d: below the running cutoff, insert
+     * and tighten it; otherwise, below tau, count a pruned insert.
+     * Replaying a hit found against a cutoff that has since tightened
+     * only adds this re-check; it never changes a decision.
+     */
+    void
+    accept(int i, int x, int y, float d)
+    {
+        if (d < cut_[i]) {
+            MatchList &l = lists_[i];
+            l.insert(Match{x, y, d});
+            cut_[i] = std::min(cut_[i], l.worstDistance());
+        } else if (d < tau_) {
+            ++pruned_[i];
+        }
+    }
+
     int half_ = 0;
     int posX_ = 0;
     int posY_ = 0;
     int x0_ = 0;
     int nx_ = 0;
     int y0_ = 0;
+    float tau_ = 0.0f;
     std::vector<MatchList> lists_;
     std::vector<float> cut_;      ///< per-reference acceptance cutoff
     std::vector<int32_t> pruned_; ///< per-reference pruned count
-    std::vector<float> diff_;     ///< D rows of one displacement
-    std::vector<float> colSum_;   ///< V rows of one displacement
+    std::vector<float> diff_;     ///< BM2: D rows of one displacement
+    std::vector<float> colSum_;   ///< BM2: V rows of one displacement
     std::vector<int32_t> hitIdx_;
     std::vector<float> hitDist_;
 };

@@ -62,6 +62,9 @@ class DctMatchDomain
     int positionsY() const { return field_.positionsY(); }
     int patchCoefs() const { return coefs_; }
 
+    /** The viewed patch field. */
+    const DctPatchField &field() const { return field_; }
+
     /** Normalized squared distance between patches at two top-lefts. */
     float
     distance(int ax, int ay, int bx, int by) const

@@ -5,6 +5,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <type_traits>
 
 #include "bm3d/bandscan.h"
@@ -38,12 +40,18 @@ struct WorkerScratch
     /// match lists per tile cell, and which cells were searched.
     std::vector<MatchList> coarseLists;
     std::vector<uint8_t> coarseSearched;
-    /// Displacement-major BM2 scratch (DESIGN §16).
-    Bm2BandScan bandScan;
+    /// Band-scan scratch (DESIGN §16).
+    BandScan bandScan;
 };
 
-/** Reference rows per displacement-major BM2 band (DESIGN §16). */
-constexpr int kBm2BandRows = 8;
+/** Reference rows per band scan (DESIGN §16). */
+constexpr int kBandRows = 8;
+
+/** Matching domains with a BandScan::run (the float ones). */
+template <typename Domain>
+inline constexpr bool kBandScannable =
+    std::is_same_v<Domain, DctMatchDomain> ||
+    std::is_same_v<Domain, ColorMatchDomain>;
 
 /**
  * Floor of the propagated adaptive bound, as a fraction of Tmatch.
@@ -180,10 +188,11 @@ searchReference(const Domain &domain, const BlockMatcher<Domain> &matcher,
  * into tiles so the work-stealing pool can balance load and the search
  * window's working set stays cache-resident.
  *
- * With @p band_scan (BM2 under bm2BandScanEligible), the window scans
- * of every kBm2BandRows tile rows run as one displacement-major band
- * scan (DESIGN §16) whose lists are bitwise those of
- * BlockMatcher::search; stacks are still denoised in reference order.
+ * With @p band_scan (float domains under bandScanEligible, BM1 only
+ * without temporal seeding), the window scans of every kBandRows tile
+ * rows run as one band scan (DESIGN §16) whose lists are bitwise those
+ * of BlockMatcher::search; stacks are still denoised in reference
+ * order.
  */
 template <typename Domain>
 void
@@ -193,7 +202,7 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
             const parallel::Tile &tile, DenoiseEngine &engine,
             Aggregator &agg, Profile &profile,
             std::vector<MatchList> &row_above, TemporalSeed *seed,
-            Bm2BandScan *band_scan)
+            BandScan *band_scan)
 {
     const Step bm_step =
         stage == Stage::HardThreshold ? Step::Bm1 : Step::Bm2;
@@ -224,14 +233,14 @@ processTile(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     for (int yi = tile.y0; yi < tile.y1; ++yi) {
         const int y = ys[yi];
         const int y_above = yi > tile.y0 ? ys[yi - 1] : 0;
-        const int band_row = (yi - tile.y0) % kBm2BandRows;
-        if constexpr (std::is_same_v<Domain, ColorMatchDomain>) {
+        const int band_row = (yi - tile.y0) % kBandRows;
+        if constexpr (kBandScannable<Domain>) {
             if (band_scan != nullptr && band_row == 0) {
                 ScopedTimer timer(profile, bm_step);
                 band_scan->run(domain, cfg.searchWindow(stage),
                                matcher.tauMatch(), cfg.maxMatches,
                                xs[tile.x0], tile.width(), y,
-                               std::min(kBm2BandRows, tile.y1 - yi));
+                               std::min(kBandRows, tile.y1 - yi));
             }
         }
         bool have_previous = false;
@@ -653,8 +662,8 @@ class StageRunner
           total_(noisy.width(), noisy.height(), noisy.channels(),
                  opts.arena),
           pending_(tiles_.size()),
-          bandScan_(std::is_same_v<Domain, ColorMatchDomain> &&
-                    bm2BandScanEligible(cfg))
+          bandScan_(kBandScannable<Domain> && bandScanEligible(cfg) &&
+                    opts.seed == nullptr)
     {
     }
 
@@ -785,7 +794,7 @@ class StageRunner
     std::vector<std::optional<Aggregator>> pending_;
     std::mutex mergeMutex_;
     size_t mergeCursor_ = 0;
-    bool bandScan_; ///< BM2 runs displacement-major (DESIGN §16)
+    bool bandScan_; ///< window scans run as band scans (DESIGN §16)
 };
 
 /**
@@ -975,6 +984,24 @@ runBandedPipeline(const Bm3dConfig &cfg, const image::ImageF &noisy)
 
 } // namespace
 
+void
+requireFinite(const image::ImageF &frame, const char *who)
+{
+    const int w = frame.width();
+    const size_t n = static_cast<size_t>(w) * frame.height();
+    for (int c = 0; c < frame.channels(); ++c) {
+        const float *p = frame.plane(c);
+        for (size_t i = 0; i < n; ++i) {
+            if (!std::isfinite(p[i])) {
+                std::ostringstream msg;
+                msg << who << ": non-finite pixel " << p[i] << " at x="
+                    << i % w << ", y=" << i / w << ", channel " << c;
+                throw std::invalid_argument(msg.str());
+            }
+        }
+    }
+}
+
 std::vector<int>
 makeRefPositions(int last_valid, int stride)
 {
@@ -1007,6 +1034,9 @@ Bm3d::runStage(Stage stage, const image::ImageF &noisy,
         noisy.height() < config_.patchSize) {
         throw std::invalid_argument("Bm3d: image smaller than patch");
     }
+    requireFinite(noisy, "Bm3d");
+    if (basic != nullptr)
+        requireFinite(*basic, "Bm3d: basic estimate");
     obs::Span stage_span(stage == Stage::HardThreshold ? "bm3d.stage1"
                                                        : "bm3d.stage2",
                          "bm3d");
@@ -1099,6 +1129,7 @@ Bm3d::denoise(const image::ImageF &noisy) const
             noisy.height() < config_.patchSize) {
             throw std::invalid_argument("Bm3d: image smaller than patch");
         }
+        requireFinite(noisy, "Bm3d");
         if (config_.precision == Precision::Int16) {
             return runBandedPipeline<DctMatchDomainI16,
                                      ColorMatchDomainI16>(config_, noisy);

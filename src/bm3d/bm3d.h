@@ -75,6 +75,7 @@ class Bm3d
     /**
      * Denoise @p noisy (1 or 3 channels, samples in [0, 255]).
      * Block matching uses channel 0, as in the paper.
+     * @throws std::invalid_argument on a non-finite sample
      */
     Bm3dResult denoise(const image::ImageF &noisy) const;
 
@@ -82,6 +83,8 @@ class Bm3d
      * Run a single stage. For Stage::Wiener, @p basic must be the
      * stage-1 estimate. Exposed for tests and for the accelerator
      * simulator's functional cross-checks.
+     * @throws std::invalid_argument on a non-finite sample in @p noisy
+     *         or @p basic
      */
     image::ImageF runStage(Stage stage, const image::ImageF &noisy,
                            const image::ImageF *basic,
@@ -95,6 +98,14 @@ class Bm3d
   private:
     Bm3dConfig config_;
 };
+
+/**
+ * Reject a frame holding a NaN or infinite sample: one such pixel
+ * would spread through every stack and aggregation window that touches
+ * it. @throws std::invalid_argument naming @p who and the first bad
+ * sample in (channel, y, x) order.
+ */
+void requireFinite(const image::ImageF &frame, const char *who);
 
 /**
  * Reference-patch top-left positions along one axis: 0, Ps, 2*Ps, ...

@@ -131,6 +131,8 @@ class StreamDenoiser
     /**
      * Enqueue a frame (blocks while queueDepth frames are waiting).
      * Every frame must share the first frame's shape.
+     * @throws std::invalid_argument on a shape mismatch or a
+     *         non-finite sample (see bm3d::requireFinite)
      */
     void submit(image::ImageF frame);
 

@@ -13,6 +13,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -1380,6 +1381,141 @@ bandFoldSelect(const float *v, size_t v_stride, int rows, int cols,
     return hits;
 }
 
+/**
+ * Scaled distances of N adjacent bm1LaneScan steps: candidate
+ * coefficient k of lane l at step n is src[k][off + n + l], scored
+ * against the held references ref[8k + l]. Per lane this is
+ * ssdSoaBatch's len-16 tree; the sums are formed in tree order
+ * (s0+s4, s2+s6, then s1+s5, s3+s7) so few partials stay live, and one
+ * reference load serves all N steps.
+ */
+template <int N>
+inline void
+laneDistances(const float *ref, const float *const *src, size_t off,
+              __m256 scale, __m256 *dist)
+{
+    // s_j = (ref_j - c_j)^2 + (ref_{8+j} - c_{8+j})^2 for each step.
+    auto pairSum = [&](int j, __m256 *out) {
+        const __m256 ra = _mm256_loadu_ps(ref + 8 * j);
+        const __m256 rb = _mm256_loadu_ps(ref + 8 * (8 + j));
+        const float *pa = src[j] + off;
+        const float *pb = src[8 + j] + off;
+        for (int n = 0; n < N; ++n) {
+            const __m256 da = _mm256_sub_ps(ra, _mm256_loadu_ps(pa + n));
+            const __m256 db = _mm256_sub_ps(rb, _mm256_loadu_ps(pb + n));
+            out[n] = _mm256_add_ps(_mm256_mul_ps(da, da),
+                                   _mm256_mul_ps(db, db));
+        }
+    };
+    __m256 a[N], b[N], u0[N];
+    pairSum(0, a);
+    pairSum(4, b);
+    for (int n = 0; n < N; ++n)
+        u0[n] = _mm256_add_ps(a[n], b[n]);
+    pairSum(2, a);
+    pairSum(6, b);
+    for (int n = 0; n < N; ++n)
+        u0[n] = _mm256_add_ps(u0[n], _mm256_add_ps(a[n], b[n]));
+    __m256 u1[N];
+    pairSum(1, a);
+    pairSum(5, b);
+    for (int n = 0; n < N; ++n)
+        u1[n] = _mm256_add_ps(a[n], b[n]);
+    pairSum(3, a);
+    pairSum(7, b);
+    for (int n = 0; n < N; ++n) {
+        u1[n] = _mm256_add_ps(u1[n], _mm256_add_ps(a[n], b[n]));
+        dist[n] = _mm256_mul_ps(_mm256_add_ps(u0[n], u1[n]), scale);
+    }
+}
+
+int
+bm1LaneScan(const float *ref, int lanes, const float *const *planes,
+            size_t row, int x0, int pos_x, int steps, int skip, float scale,
+            float tau, const float *cut, int32_t *pruned, int32_t *hit_idx,
+            float *hit_dist)
+{
+    alignas(32) float cut8[8] = {};
+    for (int l = 0; l < lanes; ++l)
+        cut8[l] = cut[l];
+    const __m256 vcut = _mm256_load_ps(cut8);
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const __m256 vtau = _mm256_set1_ps(tau);
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // Partial steps (image edge, short group) gather their valid lanes
+    // here, masked lanes reading 0: nothing outside the row is loaded.
+    alignas(32) float edge[16 * 8];
+    const float *edge_planes[16];
+    for (int k = 0; k < 16; ++k)
+        edge_planes[k] = edge + 8 * k;
+    // Steps per block: one reference load serves four candidate
+    // loads, the most that stays (nearly) within the 16 registers.
+    constexpr int kBlock = 4;
+    __m256i count = _mm256_setzero_si256();
+    int hits = 0;
+    // Select and left-pack the lanes of step s.
+    auto select = [&](int s, __m256 dist, int lo, int hi) {
+        const __m256 valid = _mm256_castsi256_ps(_mm256_andnot_si256(
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(lo), iota),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(hi), iota)));
+        const __m256 below =
+            _mm256_and_ps(valid, _mm256_cmp_ps(dist, vcut, _CMP_LT_OQ));
+        // Pruned lanes are -1: subtracting the mask counts them.
+        const __m256 prune = _mm256_andnot_ps(
+            below,
+            _mm256_and_ps(valid, _mm256_cmp_ps(dist, vtau, _CMP_LT_OQ)));
+        count = _mm256_sub_epi32(count, _mm256_castps_si256(prune));
+        const unsigned mask =
+            static_cast<unsigned>(_mm256_movemask_ps(below));
+        const __m256i perm = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+            static_cast<long long>(kLeftPack8[mask])));
+        const __m256i idx = _mm256_add_epi32(_mm256_set1_epi32(s * 8), iota);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(hit_idx + hits),
+                            _mm256_permutevar8x32_epi32(idx, perm));
+        _mm256_storeu_ps(hit_dist + hits,
+                         _mm256_permutevar8x32_ps(dist, perm));
+        hits += _mm_popcnt_u32(mask);
+    };
+    for (int s = 0; s < steps;) {
+        const int xs = x0 + s;
+        if (xs >= 0 && xs + kBlock + 7 <= pos_x && s + kBlock <= steps &&
+            (skip < s || skip >= s + kBlock)) {
+            __m256 dist[kBlock];
+            laneDistances<kBlock>(ref, planes,
+                                  row + static_cast<size_t>(xs), vscale,
+                                  dist);
+            for (int n = 0; n < kBlock; ++n)
+                select(s + n, dist[n], 0, lanes);
+            s += kBlock;
+            continue;
+        }
+        const int lo = std::max(0, -xs);
+        const int hi = std::min(lanes, pos_x - xs);
+        if (s != skip && lo < hi) {
+            __m256 dist;
+            if (xs >= 0 && xs + 8 <= pos_x) {
+                laneDistances<1>(ref, planes, row + static_cast<size_t>(xs),
+                                 vscale, &dist);
+            } else {
+                for (int k = 0; k < 16; ++k) {
+                    const float *p = planes[k] + row;
+                    for (int l = 0; l < 8; ++l)
+                        edge[8 * k + l] =
+                            l >= lo && l < hi ? p[xs + l] : 0.0f;
+                }
+                laneDistances<1>(ref, edge_planes, 0, vscale, &dist);
+            }
+            select(s, dist, lo, hi);
+        }
+        ++s;
+    }
+    alignas(32) int32_t counted[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(counted), count);
+    for (int l = 0; l < lanes; ++l)
+        pruned[l] += counted[l];
+    return hits;
+}
+
 const KernelTable kAvx2TableStorage = {
     ssd,           ssdBounded,      ssdFull,       ssdBatch16,
     ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
@@ -1392,6 +1528,7 @@ const KernelTable kAvx2TableStorage = {
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
+    bm1LaneScan,
 };
 
 } // namespace

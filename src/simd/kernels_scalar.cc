@@ -10,6 +10,7 @@
 
 #include "simd/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ideal {
@@ -843,6 +844,42 @@ bandFoldSelect(const float *v, size_t v_stride, int rows, int cols,
     return hits;
 }
 
+int
+bm1LaneScan(const float *ref, int lanes, const float *const *planes,
+            size_t row, int x0, int pos_x, int steps, int skip, float scale,
+            float tau, const float *cut, int32_t *pruned, int32_t *hit_idx,
+            float *hit_dist)
+{
+    int hits = 0;
+    for (int s = 0; s < steps; ++s) {
+        if (s == skip)
+            continue;
+        const int xs = x0 + s;
+        const int hi = std::min(lanes, pos_x - xs);
+        for (int l = std::max(0, -xs); l < hi; ++l) {
+            const size_t off = row + static_cast<size_t>(xs + l);
+            float sj[8];
+            for (int j = 0; j < 8; ++j) {
+                const float d = ref[j * 8 + l] - planes[j][off];
+                sj[j] = d * d;
+            }
+            for (int j = 0; j < 8; ++j) {
+                const float d = ref[(8 + j) * 8 + l] - planes[8 + j][off];
+                sj[j] += d * d;
+            }
+            // ssdSoaOne's leading 0 + is the identity on this sum of
+            // squares (never -0), so it is left out.
+            const float dist = fold8(sj) * scale;
+            const bool hit = dist < cut[l];
+            hit_idx[hits] = s * 8 + l;
+            hit_dist[hits] = dist;
+            hits += hit ? 1 : 0;
+            pruned[l] += (!hit && dist < tau) ? 1 : 0;
+        }
+    }
+    return hits;
+}
+
 } // namespace
 
 const KernelTable kScalarTable = {
@@ -857,6 +894,7 @@ const KernelTable kScalarTable = {
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
+    bm1LaneScan,
 };
 
 } // namespace detail

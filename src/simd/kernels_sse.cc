@@ -13,6 +13,7 @@
 
 #include <nmmintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -1334,6 +1335,113 @@ bandFoldSelect(const float *v, size_t v_stride, int rows, int cols,
     return hits;
 }
 
+/**
+ * Scaled distances of one 4-lane half of a bm1LaneScan step: candidate
+ * coefficient k of lane l at src[k][off + l], against the held
+ * references r[k]. The per-lane sequence is ssdSoaBatch's len-16 tree.
+ */
+inline __m128
+laneDistance(const __m128 *r, const float *const *src, size_t off,
+             __m128 scale)
+{
+    __m128 s[8];
+    for (int j = 0; j < 8; ++j) {
+        const __m128 d = _mm_sub_ps(r[j], _mm_loadu_ps(src[j] + off));
+        s[j] = _mm_mul_ps(d, d);
+    }
+    for (int j = 0; j < 8; ++j) {
+        const __m128 d =
+            _mm_sub_ps(r[8 + j], _mm_loadu_ps(src[8 + j] + off));
+        s[j] = _mm_add_ps(s[j], _mm_mul_ps(d, d));
+    }
+    const __m128 u0 =
+        _mm_add_ps(_mm_add_ps(s[0], s[4]), _mm_add_ps(s[2], s[6]));
+    const __m128 u1 =
+        _mm_add_ps(_mm_add_ps(s[1], s[5]), _mm_add_ps(s[3], s[7]));
+    return _mm_mul_ps(_mm_add_ps(u0, u1), scale);
+}
+
+int
+bm1LaneScan(const float *ref, int lanes, const float *const *planes,
+            size_t row, int x0, int pos_x, int steps, int skip, float scale,
+            float tau, const float *cut, int32_t *pruned, int32_t *hit_idx,
+            float *hit_dist)
+{
+    // Two 4-lane halves per step, lanes 0-3 then 4-7, so hits come out
+    // in the same (step, lane) order as the other levels.
+    __m128 r[2][16];
+    for (int h = 0; h < 2; ++h)
+        for (int k = 0; k < 16; ++k)
+            r[h][k] = _mm_loadu_ps(ref + 8 * k + 4 * h);
+    alignas(16) float cut8[8] = {};
+    for (int l = 0; l < lanes; ++l)
+        cut8[l] = cut[l];
+    const __m128 vscale = _mm_set1_ps(scale);
+    const __m128 vtau = _mm_set1_ps(tau);
+    const __m128i iota = _mm_setr_epi32(0, 1, 2, 3);
+    // Partial halves (image edge, short group) gather their valid
+    // lanes here, masked lanes reading 0: nothing outside the row is
+    // loaded.
+    alignas(16) float edge[16 * 4];
+    const float *edge_planes[16];
+    for (int k = 0; k < 16; ++k)
+        edge_planes[k] = edge + 4 * k;
+    __m128i count[2] = {_mm_setzero_si128(), _mm_setzero_si128()};
+    int hits = 0;
+    for (int s = 0; s < steps; ++s) {
+        const int xs = x0 + s;
+        if (s == skip)
+            continue;
+        for (int h = 0; h < 2; ++h) {
+            const int xh = xs + 4 * h;
+            const int lo = std::max(0, -xh);
+            const int hi = std::min(lanes - 4 * h, pos_x - xh);
+            if (lo >= hi)
+                continue;
+            __m128 dist;
+            if (xh >= 0 && xh + 4 <= pos_x) {
+                dist = laneDistance(r[h], planes,
+                                    row + static_cast<size_t>(xh), vscale);
+            } else {
+                for (int k = 0; k < 16; ++k) {
+                    const float *p = planes[k] + row;
+                    for (int l = 0; l < 4; ++l)
+                        edge[4 * k + l] =
+                            l >= lo && l < hi ? p[xh + l] : 0.0f;
+                }
+                dist = laneDistance(r[h], edge_planes, 0, vscale);
+            }
+            const __m128 valid = _mm_castsi128_ps(_mm_andnot_si128(
+                _mm_cmpgt_epi32(_mm_set1_epi32(lo), iota),
+                _mm_cmpgt_epi32(_mm_set1_epi32(hi), iota)));
+            const __m128 below = _mm_and_ps(
+                valid, _mm_cmplt_ps(dist, _mm_load_ps(cut8 + 4 * h)));
+            // Pruned lanes are -1: subtracting the mask counts them.
+            const __m128 prune = _mm_andnot_ps(
+                below, _mm_and_ps(valid, _mm_cmplt_ps(dist, vtau)));
+            count[h] = _mm_sub_epi32(count[h], _mm_castps_si128(prune));
+            const unsigned mask =
+                static_cast<unsigned>(_mm_movemask_ps(below));
+            const __m128i perm = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(kLeftPack4[mask].data()));
+            const __m128i idx =
+                _mm_add_epi32(_mm_set1_epi32(s * 8 + 4 * h), iota);
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(hit_idx + hits),
+                             _mm_shuffle_epi8(idx, perm));
+            _mm_storeu_ps(hit_dist + hits,
+                          _mm_castsi128_ps(_mm_shuffle_epi8(
+                              _mm_castps_si128(dist), perm)));
+            hits += _mm_popcnt_u32(mask);
+        }
+    }
+    alignas(16) int32_t counted[8];
+    _mm_store_si128(reinterpret_cast<__m128i *>(counted), count[0]);
+    _mm_store_si128(reinterpret_cast<__m128i *>(counted + 4), count[1]);
+    for (int l = 0; l < lanes; ++l)
+        pruned[l] += counted[l];
+    return hits;
+}
+
 const KernelTable kSseTableStorage = {
     ssd,           ssdBounded,      ssdFull,       ssdBatch16,
     ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
@@ -1346,6 +1454,7 @@ const KernelTable kSseTableStorage = {
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
+    bm1LaneScan,
 };
 
 } // namespace

@@ -402,6 +402,42 @@ struct KernelTable
                           const float *cut, int32_t *pruned,
                           size_t ref_stride, int32_t *hit_idx,
                           float *hit_dist);
+
+    // ---- reference-lane BM1 window-row scan (DESIGN §16) ---------
+    //
+    // Up to 8 horizontally adjacent references sit in the lanes with
+    // their 16 thresholded-DCT coefficients held; every displacement
+    // of one window row loads the 16 candidate planes at +d
+    // contiguously and folds them with ssdSoaBatch's canonical len-16
+    // tree, so each lane's distance is bitwise that candidate's
+    // ssdSoaBatch distance.
+
+    /**
+     * Score one reference group against one window row of a 16-plane
+     * field. Lane l in [0, @p lanes) (lanes <= 8) holds the reference
+     * descriptor ref[k * 8 + l], k in [0, 16). At step s in
+     * [0, @p steps) its candidate is position x = x0 + s + l of the
+     * field row at plane offset @p row (coefficient k at
+     * planes[k][row + x]). The lane is masked — no load, no hit, no
+     * prune — when l >= lanes, x lies outside [0, pos_x), or s ==
+     * @p skip (pass -1 for none). For every other lane, with dist =
+     * ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) scaled by @p scale, where
+     * s_j = (ref_j - c_j)^2 + (ref_{8+j} - c_{8+j})^2:
+     *   dist <  cut[l]        -> hit: append s * 8 + l to @p hit_idx
+     *                            and dist to @p hit_dist, ascending in
+     *                            (s, l);
+     *   else if dist < tau    -> ++pruned[l] (int32 lanes).
+     * @p cut is read once, so hits are relative to the cutoffs at the
+     * start of the row. NaN distances are neither. Only entries
+     * [0, lanes) of @p cut and @p pruned are accessed. Returns the hit
+     * count; @p hit_idx and @p hit_dist need room for steps * 8 + 8
+     * entries (variants store whole vectors past the last hit).
+     */
+    int (*bm1LaneScan)(const float *ref, int lanes,
+                       const float *const *planes, size_t row, int x0,
+                       int pos_x, int steps, int skip, float scale,
+                       float tau, const float *cut, int32_t *pruned,
+                       int32_t *hit_idx, float *hit_dist);
 };
 
 /** Best level this CPU supports (probed once). */

@@ -9,8 +9,11 @@
  * window would dominate runtime without adding coverage.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -107,6 +110,43 @@ TEST(Bm3d, RejectsTooSmallImage)
     bm3d::Profile p;
     EXPECT_THROW(denoiser.runStage(Stage::HardThreshold, tiny, nullptr, p),
                  std::invalid_argument);
+}
+
+TEST(Bm3d, RejectsNonFiniteInput)
+{
+    // One bad pixel would spread into every stack and aggregation
+    // window that touches it; every entry point rejects the frame and
+    // names the first bad sample.
+    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity()};
+    auto scene = makeTestScene(image::SceneKind::Nature, 24, 25.0f, 31, 3);
+    for (float v : bad) {
+        image::ImageF frame = scene.noisy;
+        frame.plane(1)[5 * 24 + 9] = v; // x=9, y=5, channel 1
+        frame.plane(2)[20 * 24 + 3] = v;
+        for (bool banded : {false, true}) {
+            Bm3dConfig cfg = smallConfig();
+            cfg.band.enabled = banded;
+            try {
+                Bm3d(cfg).denoise(frame);
+                ADD_FAILURE() << "accepted " << v << " banded=" << banded;
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "x=9, y=5, channel 1"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        const Bm3d denoiser(smallConfig());
+        bm3d::Profile p;
+        EXPECT_THROW(denoiser.runStage(Stage::HardThreshold, frame, nullptr,
+                                       p),
+                     std::invalid_argument);
+        EXPECT_THROW(denoiser.runStage(Stage::Wiener, scene.noisy, &frame,
+                                       p),
+                     std::invalid_argument);
+    }
 }
 
 TEST(Bm3d, WienerStageRequiresBasic)
@@ -1073,8 +1113,9 @@ TEST(Bm3dGolden, PinnedHashesAcrossLevelsThreadsSchedules)
 }
 
 // ---------------------------------------------------------------------
-// Displacement-major BM2 band scan (DESIGN §16): differential test
-// against the per-reference window scan it replaces.
+// Band scans (DESIGN §16): differential tests against the
+// per-reference window scan they replace, BM2 displacement-major and
+// BM1 reference-lane.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -1089,19 +1130,18 @@ floatBits(float v)
 
 /**
  * Run the band scan over [x0, x0+nx) x [y0, y0+ny) and compare every
- * reference with BlockMatcher<ColorMatchDomain>::search: list length,
- * each match's position and distance bits (so tie order too), the
+ * reference with BlockMatcher<Domain>::search: list length, each
+ * match's position and distance bits (so tie order too), the
  * evaluated count and the pruned count. Returns a description of the
  * first difference, or an empty string.
  */
+template <typename Domain>
 std::string
-bandScanDiff(bm3d::Bm2BandScan &scan, const image::ImageF &plane,
-             int window, int max_matches, float tau, int x0, int nx,
-             int y0, int ny)
+bandScanDiff(bm3d::BandScan &scan, const Domain &domain, int window,
+             int max_matches, float tau, int x0, int nx, int y0, int ny)
 {
-    const bm3d::ColorMatchDomain domain(plane, 4);
-    const bm3d::BlockMatcher<bm3d::ColorMatchDomain> matcher(
-        domain, window, 1, 1, tau, max_matches);
+    const bm3d::BlockMatcher<Domain> matcher(domain, window, 1, 1, tau,
+                                             max_matches);
     scan.run(domain, window, tau, max_matches, x0, nx, y0, ny);
     for (int yi = 0; yi < ny; ++yi) {
         for (int xi = 0; xi < nx; ++xi) {
@@ -1161,22 +1201,27 @@ coverGrid(int pos_x, int pos_y, int tile_w, int band_rows)
     return rects;
 }
 
-} // namespace
-
-TEST(Bm2BandScan, MatchesPerReferenceSearchBitwise)
+/** A scan frame: a single-channel plane and the rectangles to scan. */
+struct ScanFrame
 {
-    struct Frame
+    std::string name;
+    image::ImageF plane;
+    std::vector<ScanRect> rects;
+};
+
+/**
+ * The shared frame set of both band-scan differentials: a 512^2
+ * street frame (509 positions, 64-wide tiles with the last 61 wide,
+ * 8-row bands with the last 5 rows: image corners, interior tile
+ * edges and both partial shapes), odd and smaller-than-window sizes,
+ * and frames with one non-finite pixel. @p sigma sets the noise.
+ */
+std::vector<ScanFrame>
+scanFrames(float sigma)
+{
+    std::vector<ScanFrame> frames;
     {
-        std::string name;
-        image::ImageF plane;
-        std::vector<ScanRect> rects;
-    };
-    std::vector<Frame> frames;
-    {
-        // 512^2: 509 positions, 64-wide tiles (the last 61 wide) and
-        // 8-row bands (the last 5 rows) — image corners, interior tile
-        // edges and both partial shapes.
-        auto s = makeTestScene(image::SceneKind::Street, 512, 10.0f, 95);
+        auto s = makeTestScene(image::SceneKind::Street, 512, sigma, 95);
         frames.push_back({"street512", s.noisy,
                           {{0, 64, 0, 8},
                            {448, 61, 0, 8},
@@ -1187,28 +1232,39 @@ TEST(Bm2BandScan, MatchesPerReferenceSearchBitwise)
     }
     {
         auto s = image::addGaussianNoise(
-            image::makeScene(image::SceneKind::Nature, 37, 29, 1, 96), 10.0f,
+            image::makeScene(image::SceneKind::Nature, 37, 29, 1, 96), sigma,
             97);
         frames.push_back({"37x29", s, coverGrid(34, 26, 16, 8)});
     }
     {
         // Smaller than every window: each reference's window clips on
-        // all four sides.
-        auto s = makeTestScene(image::SceneKind::Texture, 12, 10.0f, 98);
+        // all four sides, and rows hold fewer than 8 references.
+        auto s = makeTestScene(image::SceneKind::Texture, 12, sigma, 98);
         frames.push_back({"12x12", s.noisy, coverGrid(9, 9, 4, 3)});
     }
-    {
+    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity()};
+    for (float v : bad) {
         auto s = image::addGaussianNoise(
-            image::makeScene(image::SceneKind::Street, 40, 36, 1, 99), 10.0f,
+            image::makeScene(image::SceneKind::Street, 40, 36, 1, 99), sigma,
             100);
-        s.plane(0)[11 * 40 + 17] = std::numeric_limits<float>::quiet_NaN();
-        frames.push_back({"nan40x36", s, coverGrid(37, 33, 16, 8)});
+        s.plane(0)[11 * 40 + 17] = v;
+        frames.push_back({std::isnan(v) ? "nan40x36" : "inf40x36", s,
+                          coverGrid(37, 33, 16, 8)});
     }
+    return frames;
+}
 
+} // namespace
+
+TEST(Bm2BandScan, MatchesPerReferenceSearchBitwise)
+{
+    const std::vector<ScanFrame> frames = scanFrames(10.0f);
     for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
         simd::setLevel(static_cast<simd::Level>(l));
-        bm3d::Bm2BandScan scan; // reused: scratch resizes across shapes
-        for (const Frame &f : frames) {
+        bm3d::BandScan scan; // reused: scratch resizes across shapes
+        for (const ScanFrame &f : frames) {
+            const bm3d::ColorMatchDomain domain(f.plane, 4);
             for (int window : {5, 39}) {
                 for (int max_matches : {1, 16}) {
                     for (float tau : {400.0f, 1e30f}) {
@@ -1223,7 +1279,7 @@ TEST(Bm2BandScan, MatchesPerReferenceSearchBitwise)
                                 << " tau=" << tau << " rect=(" << r.x0
                                 << ", " << r.y0 << ", " << r.nx << "x"
                                 << r.ny << ")");
-                            EXPECT_EQ(bandScanDiff(scan, f.plane, window,
+                            EXPECT_EQ(bandScanDiff(scan, domain, window,
                                                    max_matches, tau,
                                                    r.x0, r.nx, r.y0,
                                                    r.ny),
@@ -1237,14 +1293,108 @@ TEST(Bm2BandScan, MatchesPerReferenceSearchBitwise)
     simd::setLevel(simd::bestSupported());
 }
 
+TEST(Bm1BandScan, MatchesPerReferenceSearchBitwise)
+{
+    // The scan frames plus a constant frame, where every distance ties
+    // at 0 and only scan order decides the lists.
+    std::vector<ScanFrame> frames = scanFrames(25.0f);
+    image::ImageF flat(24, 20, 1);
+    std::fill(flat.plane(0), flat.plane(0) + 24 * 20, 128.0f);
+    frames.push_back({"const24x20", flat, coverGrid(21, 17, 16, 8)});
+    const transforms::Dct2D dct(4);
+    for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
+        simd::setLevel(static_cast<simd::Level>(l));
+        bm3d::BandScan scan; // reused: scratch resizes across shapes
+        for (const ScanFrame &f : frames) {
+            const bm3d::DctPatchField field(f.plane, dct, 50.0f,
+                                            std::nullopt, nullptr);
+            const bm3d::DctMatchDomain domain(field);
+            for (int window : {5, 49}) {
+                for (int max_matches : {1, 16}) {
+                    for (float tau : {3000.0f, 1e30f}) {
+                        for (const ScanRect &r : f.rects) {
+                            SCOPED_TRACE(
+                                testing::Message()
+                                << f.name << " level="
+                                << simd::toString(
+                                       static_cast<simd::Level>(l))
+                                << " window=" << window
+                                << " maxMatches=" << max_matches
+                                << " tau=" << tau << " rect=(" << r.x0
+                                << ", " << r.y0 << ", " << r.nx << "x"
+                                << r.ny << ")");
+                            EXPECT_EQ(bandScanDiff(scan, domain, window,
+                                                   max_matches, tau,
+                                                   r.x0, r.nx, r.y0,
+                                                   r.ny),
+                                      "");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    simd::setLevel(simd::bestSupported());
+}
+
+TEST(Bm1BandScan, RingFieldMatchesPerReferenceSearchBitwise)
+{
+    // The banded schedule's field (DESIGN §15): ring storage, filled
+    // band by band, rows wrapping modulo the ring. Each 8-row band is
+    // scanned once its rows plus the window halo are resident, as the
+    // band pipeline does.
+    const image::ImageF plane = image::addGaussianNoise(
+        image::makeScene(image::SceneKind::Street, 40, 80, 1, 101), 25.0f,
+        102);
+    const transforms::Dct2D dct(4);
+    const int pos_x = 40 - 3;
+    const int pos_y = 80 - 3;
+    for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
+        simd::setLevel(static_cast<simd::Level>(l));
+        bm3d::BandScan scan;
+        for (int window : {5, 49}) {
+            const int half = (window - 1) / 2;
+            bm3d::DctPatchField field;
+            field.prepare(40, 80, dct, nullptr, 8 + 2 * half + 1);
+            ASSERT_TRUE(field.banded());
+            const bm3d::DctMatchDomain domain(field);
+            int filled = 0;
+            for (int y0 = 0; y0 < pos_y; y0 += 8) {
+                const int ny = std::min(8, pos_y - y0);
+                const int need = std::min(pos_y, y0 + ny + half);
+                field.fillRows(plane, dct, 50.0f, std::nullopt, filled,
+                               need);
+                filled = need;
+                for (int max_matches : {1, 16}) {
+                    for (float tau : {3000.0f, 1e30f}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "level="
+                                     << simd::toString(
+                                            static_cast<simd::Level>(l))
+                                     << " window=" << window
+                                     << " maxMatches=" << max_matches
+                                     << " tau=" << tau << " band y0="
+                                     << y0);
+                        EXPECT_EQ(bandScanDiff(scan, domain, window,
+                                               max_matches, tau, 0, pos_x,
+                                               y0, ny),
+                                  "");
+                    }
+                }
+            }
+        }
+    }
+    simd::setLevel(simd::bestSupported());
+}
+
 TEST(Bm2BandScan, EligibilityFollowsConfig)
 {
     Bm3dConfig cfg;
-    EXPECT_TRUE(bm3d::bm2BandScanEligible(cfg)); // paper stage 2
+    EXPECT_TRUE(bm3d::bandScanEligible(cfg)); // paper stages 1 and 2
     auto ineligible = [](auto mutate) {
         Bm3dConfig c;
         mutate(c);
-        return !bm3d::bm2BandScanEligible(c);
+        return !bm3d::bandScanEligible(c);
     };
     EXPECT_TRUE(ineligible([](Bm3dConfig &c) { c.patchSize = 8; }));
     EXPECT_TRUE(ineligible([](Bm3dConfig &c) { c.searchStride = 2; }));

@@ -11,6 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -326,6 +329,41 @@ TEST_F(RuntimeTest, LifecycleErrors)
     EXPECT_THROW(stream.submit(image::ImageF(clip[0])), std::logic_error);
     (void)stream.collect();
     EXPECT_THROW(stream.collect(), std::logic_error);
+}
+
+TEST_F(RuntimeTest, RejectsNonFiniteFrames)
+{
+    // A rejected frame never enters the pipeline: the stream goes on
+    // with the next good frame, bitwise as if it had never been sent.
+    const auto clip = staticClip(2, 32, 32, 25.0f, 69);
+    StreamConfig cfg = smallStreamConfig(1);
+    StreamDenoiser stream(cfg);
+    stream.submit(image::ImageF(clip[0]));
+    for (float v : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+        image::ImageF frame = clip[1];
+        frame.plane(0)[7 * 32 + 30] = v;
+        try {
+            stream.submit(std::move(frame));
+            ADD_FAILURE() << "accepted " << v;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("x=30, y=7, channel 0"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    stream.submit(image::ImageF(clip[1]));
+    stream.finish();
+    const image::ImageF first = stream.collect();
+    const image::ImageF second = stream.collect();
+
+    StreamDenoiser clean(cfg);
+    clean.submit(image::ImageF(clip[0]));
+    clean.submit(image::ImageF(clip[1]));
+    clean.finish();
+    EXPECT_TRUE(first.raw() == clean.collect().raw());
+    EXPECT_TRUE(second.raw() == clean.collect().raw());
 }
 
 TEST_F(RuntimeTest, ConfigValidation)

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -796,6 +798,20 @@ TEST_F(ServiceTest, LifecycleAndValidationErrors)
                  std::invalid_argument); // shape mismatch
     EXPECT_THROW(svc.submit(id, image::ImageF(2, 2, 1)),
                  std::invalid_argument); // smaller than a patch
+    for (float v : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+        image::ImageF frame(clip[0]);
+        frame.plane(0)[3 * 32 + 4] = v;
+        try {
+            svc.submit(id, std::move(frame));
+            ADD_FAILURE() << "accepted " << v;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("x=4, y=3, channel 0"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 
     svc.closeSession(id);
     EXPECT_THROW(svc.submit(id, image::ImageF(clip[0])),

@@ -186,6 +186,7 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
         EXPECT_NE(k.bandSqDiff, nullptr);
         EXPECT_NE(k.bandColSum4, nullptr);
         EXPECT_NE(k.bandFoldSelect, nullptr);
+        EXPECT_NE(k.bm1LaneScan, nullptr);
     }
 }
 
@@ -1127,4 +1128,110 @@ TEST_F(SimdParity, BandScanRowsMatchScalarBitwise)
             EXPECT_EQ(pruned, pruned_ref);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Reference-lane BM1 window-row scan (DESIGN §16).
+// ---------------------------------------------------------------------
+
+TEST_F(SimdParity, Bm1LaneScanMatchesScalarBitwise)
+{
+    // Each coefficient plane is one row in its own exactly-sized
+    // buffer, so a load outside [0, pos_x) leaves the allocation (and
+    // trips ASan). Steps start left of the row and run past its end:
+    // every group size 1-8 meets masked edge lanes, and NaN, +-inf and
+    // +-0 ride through references and candidates alike.
+    Rng rng(2029);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const int pos_x = 29;
+    std::vector<std::vector<float>> rows(16, std::vector<float>(pos_x));
+    std::vector<const float *> planes(16);
+    for (int k = 0; k < 16; ++k) {
+        for (float &v : rows[k])
+            v = rng.uniform(-40.0f, 40.0f);
+        planes[k] = rows[k].data();
+    }
+    rows[3][7] = nan;
+    rows[5][12] = inf;
+    rows[9][12] = -inf;
+    rows[0][20] = -0.0f;
+    rows[1][21] = 0.0f;
+    std::vector<float> ref(16 * 8);
+    for (float &v : ref)
+        v = rng.uniform(-40.0f, 40.0f);
+    ref[8 * 2 + 5] = nan;
+    ref[8 * 7 + 6] = -inf;
+    ref[8 * 11 + 1] = -0.0f;
+
+    const float scale = 1.0f / 16.0f;
+    const float tau = 1000.0f; // the mean distance is ~1070
+    const simd::KernelTable &scalar = simd::kernelsFor(simd::Level::Scalar);
+    int total_hits = 0;
+    for (int lanes = 1; lanes <= 8; ++lanes) {
+        for (int x0 : {-12, -5, 0, 3, 14, 24}) {
+            // Every skip position relative to AVX2's 4-step blocks.
+            for (int skip : {-1, 4, 5, 6, 7}) {
+                const int steps = 13;
+                float cut[8];
+                for (float &c : cut)
+                    c = rng.uniform(500.0f, 1600.0f);
+                std::vector<int32_t> idx_ref(steps * 8 + 8);
+                std::vector<float> dist_ref(idx_ref.size());
+                int32_t pruned_ref[8] = {7, 7, 7, 7, 7, 7, 7, 7};
+                const int hits_ref = scalar.bm1LaneScan(
+                    ref.data(), lanes, planes.data(), 0, x0, pos_x, steps,
+                    skip, scale, tau, cut, pruned_ref, idx_ref.data(),
+                    dist_ref.data());
+                total_hits += hits_ref;
+                SCOPED_TRACE(testing::Message() << "lanes=" << lanes
+                                                << " x0=" << x0
+                                                << " skip=" << skip);
+                // Hits lie on unmasked lanes, ascend in (step, lane), and
+                // carry the candidate's ssdSoaBatch distance.
+                for (int h = 0; h < hits_ref; ++h) {
+                    const int s = idx_ref[h] / 8;
+                    const int l = idx_ref[h] % 8;
+                    const int x = x0 + s + l;
+                    ASSERT_TRUE(l < lanes && s != skip && x >= 0 &&
+                                x < pos_x)
+                        << "hit " << h;
+                    if (h > 0) {
+                        EXPECT_GT(idx_ref[h], idx_ref[h - 1]);
+                    }
+                    float desc[16];
+                    for (int k = 0; k < 16; ++k)
+                        desc[k] = ref[8 * k + l];
+                    float want;
+                    scalar.ssdSoaBatch(desc, planes.data(), x, 16, 1, &want);
+                    expectBitEqual(want * scale, dist_ref[h], "hit distance",
+                                   h);
+                }
+                for (int l = lanes; l < 8; ++l)
+                    EXPECT_EQ(pruned_ref[l], 7) << "masked lane " << l;
+
+                for (simd::Level level : availableLevels()) {
+                    const simd::KernelTable &k = simd::kernelsFor(level);
+                    SCOPED_TRACE(testing::Message()
+                                 << "level=" << simd::toString(level));
+                    std::vector<int32_t> idx(idx_ref.size());
+                    std::vector<float> dist(idx_ref.size());
+                    int32_t pruned[8] = {7, 7, 7, 7, 7, 7, 7, 7};
+                    const int hits = k.bm1LaneScan(
+                        ref.data(), lanes, planes.data(), 0, x0, pos_x,
+                        steps, skip, scale, tau, cut, pruned, idx.data(),
+                        dist.data());
+                    ASSERT_EQ(hits, hits_ref);
+                    for (int h = 0; h < hits; ++h) {
+                        EXPECT_EQ(idx[h], idx_ref[h]) << "hit " << h;
+                        expectBitEqual(dist_ref[h], dist[h], "hit distance",
+                                       h);
+                    }
+                    for (int l = 0; l < 8; ++l)
+                        EXPECT_EQ(pruned[l], pruned_ref[l]) << "lane " << l;
+                }
+            }
+        }
+    }
+    EXPECT_GT(total_hits, 100); // the cutoffs sit inside the distances
 }
