@@ -123,6 +123,7 @@ main(int argc, char **argv)
         {"bm2_scan_band", {}},      {"bm1_scan_ref", {}},
         {"bm1_scan_lane", {}},      {"bm1_scan_ref_edge", {}},
         {"bm1_scan_lane_edge", {}},  {"bm1_lane_kernel", {}},
+        {"match_replay_w13", {}},    {"match_replay_w49", {}},
     };
 
     // Coefficient-major view of the pool for the SoA kernels: plane k
@@ -212,6 +213,52 @@ main(int argc, char **argv)
         int x0, y0;
     };
     const Bm1Row bm1_rows[] = {{32, 30}, {0, 0}}; // interior, edge
+
+    // Match selection (DESIGN §16.4) of the interior BM1 row's 64
+    // references: each reference's window-row distances are recorded
+    // once, at window 13 (video_hd's BM1) and 49 (the paper's), then
+    // replayed run by run into a fresh list exactly as
+    // BlockMatcher::search feeds matchReplay. Scalar versus dispatched
+    // is the per-insert win. (One reference replayed over and over
+    // would flatter the scalar loop: its branches learn the pattern.)
+    struct ReplayRef
+    {
+        int x, y;
+        std::vector<std::vector<float>> dist;
+        std::vector<uint32_t> pos0;
+    };
+    auto recordRefs = [&](int window) {
+        std::vector<ReplayRef> refs;
+        const int half = (window - 1) / 2;
+        const Bm1Row &br = bm1_rows[0];
+        for (int x = br.x0; x < br.x0 + 64; ++x) {
+            ReplayRef ref{x, br.y0, {}, {}};
+            float desc[16];
+            bm1_domain.gatherRef(x, br.y0, desc);
+            auto add = [&](int x0, int x1, int y) {
+                if (x0 > x1)
+                    return;
+                std::vector<float> d(static_cast<size_t>(x1 - x0 + 1));
+                bm1_domain.distanceBatch(desc, x0, y, x1 - x0 + 1,
+                                         d.data());
+                ref.dist.push_back(d);
+                ref.pos0.push_back(bm3d::MatchList::pack(x0, y));
+            };
+            for (int y = br.y0 - half; y <= br.y0 + half; ++y) {
+                if (y == br.y0) {
+                    add(x - half, x - 1, y);
+                    add(x + 1, x + half, y);
+                } else {
+                    add(x - half, x + half, y);
+                }
+            }
+            refs.push_back(ref);
+        }
+        return refs;
+    };
+    const std::vector<ReplayRef> replay_refs[] = {recordRefs(13),
+                                                  recordRefs(49)};
+    const int replay_iters[] = {quick ? 100 : 200, quick ? 20 : 40};
 
     for (int l = 0; l <= static_cast<int>(simd::bestSupported()); ++l) {
         const auto level = static_cast<simd::Level>(l);
@@ -512,6 +559,25 @@ main(int argc, char **argv)
                 }
             g_sink += static_cast<float>(pruned[0]);
         });
+        for (int w = 0; w < 2; ++w) {
+            record([&] {
+                for (int it = 0; it < replay_iters[w]; ++it)
+                    for (const ReplayRef &ref : replay_refs[w]) {
+                        bm3d::MatchList list;
+                        list.insert(bm3d::Match{ref.x, ref.y, 0.0f});
+                        float cut = 3000.0f;
+                        int32_t pruned = 0;
+                        for (size_t r = 0; r < ref.dist.size(); ++r) {
+                            const simd::MatchRun run{
+                                &list.slots(), &cut, &pruned,
+                                ref.dist[r].data(), nullptr, ref.pos0[r],
+                                static_cast<int>(ref.dist[r].size())};
+                            k.matchReplay(&run, 1, 3000.0f);
+                        }
+                        g_sink += cut + static_cast<float>(pruned);
+                    }
+            });
+        }
         simd::setLevel(simd::bestSupported());
     }
 
@@ -530,6 +596,9 @@ main(int argc, char **argv)
                 "row at window 49; bm1_lane_kernel: their %d bare "
                 "bm1LaneScan calls)\n",
                 bm1_iters, bm1_iters * 8 * 49);
+    std::printf("(match_replay_w13/_w49: total ms for %d / %d replays of "
+                "64 references' window rows into fresh lists)\n",
+                replay_iters[0], replay_iters[1]);
 
     rec.wallTimeS = msSince(t_total) / 1e3;
     rec.write();

@@ -35,7 +35,6 @@ BandScan::begin(int pos_x, int pos_y, int window, float tau,
     x0_ = x0;
     nx_ = nx;
     y0_ = y0;
-    tau_ = tau;
     const size_t refs = static_cast<size_t>(nx) * ny;
     lists_.resize(refs);
     cut_.assign(refs, tau);
@@ -62,6 +61,7 @@ BandScan::run(const ColorMatchDomain &domain, int window, float tau,
     colSum_.resize(pitch * ny);
     hitIdx_.resize(refs + 8); // + bandFoldSelect's vector overrun
     hitDist_.resize(refs + 8);
+    runs_.resize(refs);
 
     const simd::KernelTable &k = simd::kernels();
     const float *img = domain.pixels();
@@ -97,10 +97,16 @@ BandScan::run(const ColorMatchDomain &domain, int window, float tau,
                 colSum_.data(), pitch, rows, cols, norm, tau,
                 cut_.data() + base, pruned_.data() + base, nx,
                 hitIdx_.data(), hitDist_.data());
+            // At one displacement each reference has at most one hit:
+            // one single-candidate run per hit reference.
             for (int h = 0; h < hits; ++h) {
                 const int i = static_cast<int>(base) + hitIdx_[h];
-                accept(i, x0 + i % nx + dx, y0 + i / nx + dy, hitDist_[h]);
+                runs_[h] = runOf(i, &hitDist_[h], nullptr,
+                                 MatchList::pack(x0 + i % nx + dx,
+                                                 y0 + i / nx + dy),
+                                 1);
             }
+            k.matchReplay(runs_.data(), hits, tau);
         }
     }
 }
@@ -116,6 +122,9 @@ BandScan::run(const DctMatchDomain &domain, int window, float tau,
           max_matches, x0, nx, y0, ny);
     hitIdx_.resize(static_cast<size_t>(window) * kLanes + kLanes);
     hitDist_.resize(hitIdx_.size());
+    laneDist_.resize(hitIdx_.size());
+    lanePos_.resize(hitIdx_.size());
+    runs_.resize(kLanes);
 
     const simd::KernelTable &k = simd::kernels();
     const float *const *planes = field.matchPlanes();
@@ -142,11 +151,28 @@ BandScan::run(const DctMatchDomain &domain, int window, float tau,
                     rx0 - half_, posX_, window, cy == ry ? half_ : -1, norm,
                     tau, cut_.data() + i0, pruned_.data() + i0,
                     hitIdx_.data(), hitDist_.data());
+                if (hits == 0)
+                    continue;
+                // Group the (s, l)-ordered hits by lane, keeping each
+                // lane's scan order: one run per reference, in a bucket
+                // of `window` slots (a lane hits at most once a step).
+                int count[kLanes] = {};
                 for (int h = 0; h < hits; ++h) {
                     const int l = hitIdx_[h] % kLanes;
                     const int s = hitIdx_[h] / kLanes;
-                    accept(i0 + l, rx0 - half_ + s + l, cy, hitDist_[h]);
+                    const size_t at =
+                        static_cast<size_t>(l) * window + count[l]++;
+                    laneDist_[at] = hitDist_[h];
+                    lanePos_[at] = MatchList::pack(rx0 - half_ + s + l, cy);
                 }
+                int runs = 0;
+                for (int l = 0; l < lanes; ++l) {
+                    const size_t at = static_cast<size_t>(l) * window;
+                    if (count[l] > 0)
+                        runs_[runs++] = runOf(i0 + l, &laneDist_[at],
+                                              &lanePos_[at], 0, count[l]);
+                }
+                k.matchReplay(runs_.data(), runs, tau);
             }
         }
     }

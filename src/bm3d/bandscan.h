@@ -29,10 +29,12 @@
  *    compare per 8 candidates instead of a branch per candidate.
  *
  * Both evaluate exactly the canonical 8-lane fold ssdSoaBatch applies
- * at len 16 and replay below-cutoff candidates with
- * BlockMatcher::considerRun's rule, so every distance, match list (tie
- * order included), evaluated count and pruned count is bitwise equal
- * to BlockMatcher<Domain>::search at infinite initial bound.
+ * at len 16 and replay below-cutoff candidates through the same
+ * matchReplay kernel as BlockMatcher::considerRun (DESIGN §16.4), each
+ * reference's candidates in its own scan order, so every distance,
+ * match list (tie order included), evaluated count and pruned count is
+ * bitwise equal to BlockMatcher<Domain>::search at infinite initial
+ * bound.
  */
 
 #include <algorithm>
@@ -42,6 +44,7 @@
 #include "bm3d/blockmatch.h"
 #include "bm3d/config.h"
 #include "bm3d/matchlist.h"
+#include "simd/simd.h"
 
 namespace ideal {
 namespace bm3d {
@@ -96,23 +99,13 @@ class BandScan
     void begin(int pos_x, int pos_y, int window, float tau,
                int max_matches, int x0, int nx, int y0, int ny);
 
-    /**
-     * BlockMatcher::considerRun's rule for candidate (x, y) of
-     * reference i at distance @p d: below the running cutoff, insert
-     * and tighten it; otherwise, below tau, count a pruned insert.
-     * Replaying a hit found against a cutoff that has since tightened
-     * only adds this re-check; it never changes a decision.
-     */
-    void
-    accept(int i, int x, int y, float d)
+    /** The matchReplay run of reference i's candidates. */
+    simd::MatchRun
+    runOf(int i, const float *dist, const uint32_t *pos, uint32_t pos0,
+          int count)
     {
-        if (d < cut_[i]) {
-            MatchList &l = lists_[i];
-            l.insert(Match{x, y, d});
-            cut_[i] = std::min(cut_[i], l.worstDistance());
-        } else if (d < tau_) {
-            ++pruned_[i];
-        }
+        return simd::MatchRun{&lists_[i].slots(), &cut_[i], &pruned_[i],
+                              dist, pos, pos0, count};
     }
 
     int half_ = 0;
@@ -121,7 +114,6 @@ class BandScan
     int x0_ = 0;
     int nx_ = 0;
     int y0_ = 0;
-    float tau_ = 0.0f;
     std::vector<MatchList> lists_;
     std::vector<float> cut_;      ///< per-reference acceptance cutoff
     std::vector<int32_t> pruned_; ///< per-reference pruned count
@@ -129,6 +121,9 @@ class BandScan
     std::vector<float> colSum_;   ///< BM2: V rows of one displacement
     std::vector<int32_t> hitIdx_;
     std::vector<float> hitDist_;
+    std::vector<simd::MatchRun> runs_; ///< one replay batch
+    std::vector<float> laneDist_;      ///< BM1: hits grouped by lane
+    std::vector<uint32_t> lanePos_;
 };
 
 } // namespace bm3d

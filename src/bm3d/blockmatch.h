@@ -49,9 +49,6 @@ class DctMatchDomain
     /** Element type of a gathered reference descriptor. */
     using DescType = float;
 
-    /** Float domains score in normalized units; no raw int path. */
-    static constexpr bool kRawBatch = false;
-
     explicit DctMatchDomain(const DctPatchField &field)
         : field_(field), coefs_(field.coefs()),
           norm_(1.0f / static_cast<float>(field.coefs()))
@@ -137,9 +134,6 @@ class ColorMatchDomain
   public:
     /** Element type of a gathered reference descriptor. */
     using DescType = float;
-
-    /** Float domains score in normalized units; no raw int path. */
-    static constexpr bool kRawBatch = false;
 
     ColorMatchDomain(const image::ImageF &plane, int patch_size)
         : patchSize_(patch_size), coefs_(patch_size * patch_size),
@@ -242,13 +236,6 @@ class DctMatchDomainI16
   public:
     using DescType = int16_t;
 
-    /**
-     * The matcher keeps window-scan distances as raw int32 SSDs and
-     * thresholds them against a precomputed raw tau, deferring the
-     * int32 -> float conversion to the (rare) accepted candidates.
-     */
-    static constexpr bool kRawBatch = true;
-
     explicit DctMatchDomainI16(const DctPatchField &field)
         : field_(field), coefs_(field.coefs()),
           factor_(static_cast<float>(fixed::ssdFactor(
@@ -291,24 +278,22 @@ class DctMatchDomainI16
         field_.gatherMatchPatchI16(x, y, out);
     }
 
+    /**
+     * Normalized distances of the run: exact int32 raw SSDs, then one
+     * conversion pass. fromRaw is monotone in the raw SSD, so any
+     * float cutoff selects exactly the raws below one raw threshold
+     * (DESIGN §16.4).
+     */
     void
     distanceBatch(const int16_t *ref, int x0, int y, int count,
                   float *out) const
     {
-        int32_t tmp[kMaxBatchCandidates];
-        distanceBatchRaw(ref, x0, y, count, tmp);
-        for (int i = 0; i < count; ++i)
-            out[i] = fromRaw(tmp[i]);
-    }
-
-    /** Raw int32 SSDs of the run — no normalization, no conversion. */
-    void
-    distanceBatchRaw(const int16_t *ref, int x0, int y, int count,
-                     int32_t *out) const
-    {
+        int32_t raw[kMaxBatchCandidates];
         simd::kernels().ssdPairBatchI16(ref, field_.matchPairPlanesI16(),
                                         field_.matchOffset(x0, y), coefs_,
-                                        count, out);
+                                        count, raw);
+        for (int i = 0; i < count; ++i)
+            out[i] = fromRaw(raw[i]);
     }
 
     /** Raw SSD -> the normalized units distanceBatch reports. */
@@ -316,18 +301,6 @@ class DctMatchDomainI16
     fromRaw(int32_t raw) const
     {
         return static_cast<float>(raw) * factor_;
-    }
-
-    /**
-     * Smallest raw SSD whose normalized distance fails `d < tau`:
-     * `raw < rawThreshold(tau)` is exactly equivalent to
-     * `fromRaw(raw) < tau`, so raw-side selection picks the identical
-     * match set.
-     */
-    int32_t
-    rawThreshold(float tau) const
-    {
-        return exactRawThreshold(tau, factor_);
     }
 
     /**
@@ -341,24 +314,6 @@ class DctMatchDomainI16
         const double scaled = static_cast<double>(bound) / factor;
         return scaled >= 2147483647.0 ? INT32_MAX
                                       : static_cast<int32_t>(scaled);
-    }
-
-    /**
-     * min { r : float(r) * factor >= tau }, clamped to INT32_MAX.
-     * float(r) * factor is monotonic in r, so starting from the
-     * truncated estimate and nudging across the rounding boundary
-     * converges in a couple of steps.
-     */
-    static int32_t
-    exactRawThreshold(float tau, float factor)
-    {
-        int64_t t = rawBound(tau, factor);
-        while (t < INT32_MAX &&
-               static_cast<float>(t) * factor < tau)
-            ++t;
-        while (t > 0 && static_cast<float>(t - 1) * factor >= tau)
-            --t;
-        return static_cast<int32_t>(t);
     }
 
   private:
@@ -378,9 +333,6 @@ class ColorMatchDomainI16
 {
   public:
     using DescType = int16_t;
-
-    /** Same raw-int32 window-scan contract as DctMatchDomainI16. */
-    static constexpr bool kRawBatch = true;
 
     /**
      * @param deferred skip the eager whole-plane quantization; the
@@ -462,32 +414,25 @@ class ColorMatchDomainI16
             out[k] = planes_[k][off];
     }
 
+    /**
+     * Normalized distances of the run, as DctMatchDomainI16's. This
+     * domain deliberately keeps the plain shifted-view layout rather
+     * than materializing pair-interleaved planes: the views all alias
+     * one half-megabyte quantized copy that stays L2-resident across
+     * the whole stage-2 scan, and in the full pipeline (searches
+     * interleaved with denoising work) that footprint win beats the
+     * pair kernel's shuffle-free inner loop, which needs a 16x larger
+     * array.
+     */
     void
     distanceBatch(const int16_t *ref, int x0, int y, int count,
                   float *out) const
     {
-        int32_t tmp[kMaxBatchCandidates];
-        distanceBatchRaw(ref, x0, y, count, tmp);
-        for (int i = 0; i < count; ++i)
-            out[i] = fromRaw(tmp[i]);
-    }
-
-    /**
-     * Raw int32 SSDs of the run — no normalization, no conversion.
-     * This domain deliberately keeps the plain shifted-view layout
-     * rather than materializing pair-interleaved planes: the views
-     * all alias one half-megabyte quantized copy that stays L2-
-     * resident across the whole stage-2 scan, and in the full
-     * pipeline (searches interleaved with denoising work) that
-     * footprint win beats the pair kernel's shuffle-free inner loop,
-     * which needs a 16x larger array.
-     */
-    void
-    distanceBatchRaw(const int16_t *ref, int x0, int y, int count,
-                     int32_t *out) const
-    {
+        int32_t raw[kMaxBatchCandidates];
         simd::kernels().ssdSoaBatchI16(ref, planes_.data(),
-                                       offset(x0, y), coefs_, count, out);
+                                       offset(x0, y), coefs_, count, raw);
+        for (int i = 0; i < count; ++i)
+            out[i] = fromRaw(raw[i]);
     }
 
     /** Raw SSD -> the normalized units distanceBatch reports. */
@@ -495,13 +440,6 @@ class ColorMatchDomainI16
     fromRaw(int32_t raw) const
     {
         return static_cast<float>(raw) * factor_;
-    }
-
-    /** See DctMatchDomainI16::rawThreshold. */
-    int32_t
-    rawThreshold(float tau) const
-    {
-        return DctMatchDomainI16::exactRawThreshold(tau, factor_);
     }
 
   private:
@@ -550,8 +488,6 @@ class BlockMatcher
           searchStride_(search_stride), refStride_(ref_stride),
           tauMatch_(tau_match), maxMatches_(max_matches), bounded_(bounded)
     {
-        if constexpr (Domain::kRawBatch)
-            rawTau_ = domain.rawThreshold(tau_match);
     }
 
     /**
@@ -575,8 +511,8 @@ class BlockMatcher
      * bitwise identical to the plain search — the worst-distance term
      * reproduces exactly the insertions the dense scan would accept.
      * Candidates below Tmatch that the cutoff rejected are counted
-     * into @p pruned (may be null): the insertion attempts (and, on
-     * the raw int16 path, int->float conversions) the cutoff saved.
+     * into @p pruned (may be null): the insertion attempts the cutoff
+     * saved.
      * @return number of candidate distances evaluated
      */
     uint64_t
@@ -586,8 +522,7 @@ class BlockMatcher
         out = MatchList(maxMatches_);
         out.insert(Match{xr, yr, 0.0f});
         uint64_t evaluated = 0;
-        uint64_t pruned_local = 0;
-        ScanState scan = makeScan(initial_bound);
+        ScanState scan{std::min(tauMatch_, initial_bound), 0};
         const int x_lo = std::max(0, xr - half_);
         const int x_hi = std::min(domain_.positionsX() - 1, xr + half_);
         const int y_lo = std::max(0, yr - half_);
@@ -605,12 +540,11 @@ class BlockMatcher
             for (int y = y_lo; y <= y_hi; ++y) {
                 if (y == yr) {
                     considerRun(ref, x_lo, xr - 1, y, out, scan,
-                                evaluated, pruned_local);
+                                evaluated);
                     considerRun(ref, xr + 1, x_hi, y, out, scan,
-                                evaluated, pruned_local);
+                                evaluated);
                 } else {
-                    considerRun(ref, x_lo, x_hi, y, out, scan,
-                                evaluated, pruned_local);
+                    considerRun(ref, x_lo, x_hi, y, out, scan, evaluated);
                 }
             }
         } else {
@@ -618,13 +552,13 @@ class BlockMatcher
                 for (int x = x_lo; x <= x_hi; x += searchStride_) {
                     if (x == xr && y == yr)
                         continue;
-                    considerCut(xr, yr, x, y, out, scan, pruned_local);
+                    considerCut(xr, yr, x, y, out, scan);
                     ++evaluated;
                 }
             }
         }
         if (pruned != nullptr)
-            *pruned += pruned_local;
+            *pruned += static_cast<uint64_t>(scan.pruned);
         return evaluated;
     }
 
@@ -749,8 +683,7 @@ class BlockMatcher
         out = MatchList(maxMatches_);
         out.insert(Match{xr, yr, 0.0f});
         uint64_t evaluated = 0;
-        uint64_t pruned_local = 0;
-        ScanState scan = makeScan(initial_bound);
+        ScanState scan{std::min(tauMatch_, initial_bound), 0};
 
         const int sh = std::min(half_, (seed_window - 1) / 2);
         const int wx_lo = std::max(0, xr - sh);
@@ -764,12 +697,12 @@ class BlockMatcher
             for (int y = wy_lo; y <= wy_hi; ++y) {
                 if (y == yr) {
                     considerRun(ref, wx_lo, xr - 1, y, out, scan,
-                                evaluated, pruned_local);
+                                evaluated);
                     considerRun(ref, xr + 1, wx_hi, y, out, scan,
-                                evaluated, pruned_local);
+                                evaluated);
                 } else {
                     considerRun(ref, wx_lo, wx_hi, y, out, scan,
-                                evaluated, pruned_local);
+                                evaluated);
                 }
             }
         } else {
@@ -777,7 +710,7 @@ class BlockMatcher
                 for (int x = wx_lo; x <= wx_hi; x += searchStride_) {
                     if (x == xr && y == yr)
                         continue;
-                    considerCut(xr, yr, x, y, out, scan, pruned_local);
+                    considerCut(xr, yr, x, y, out, scan);
                     ++evaluated;
                 }
             }
@@ -796,11 +729,11 @@ class BlockMatcher
                 continue; // already scored by the verification window
             if (sx < x_lo || sx > x_hi || sy < y_lo || sy > y_hi)
                 continue; // drifted outside the full search window
-            considerCut(xr, yr, sx, sy, out, scan, pruned_local);
+            considerCut(xr, yr, sx, sy, out, scan);
             ++evaluated;
         }
         if (pruned != nullptr)
-            *pruned += pruned_local;
+            *pruned += static_cast<uint64_t>(scan.pruned);
         return evaluated;
     }
 
@@ -815,90 +748,41 @@ class BlockMatcher
 
   private:
     /**
-     * Running acceptance cutoff of one search. `cut` starts at
-     * min(Tmatch, the caller's initial bound) and tightens to the
-     * worst kept distance as the list fills; `rawCut` is its exact
-     * raw-int32 image on kRawBatch domains (maintained incrementally —
-     * rawThreshold() is monotone, so min-chaining per insert equals
-     * recomputing from the current worst).
+     * Running state of one search: the acceptance cutoff, which starts
+     * at min(Tmatch, the caller's initial bound) and tightens to the
+     * worst kept distance once the list is full, and the count of
+     * candidates below Tmatch that the cutoff rejected.
      */
     struct ScanState
     {
         float cut;
-        int32_t rawCut;
+        int32_t pruned;
     };
-
-    ScanState
-    makeScan(float initial_bound) const
-    {
-        ScanState s;
-        s.cut = std::min(tauMatch_, initial_bound);
-        s.rawCut = 0;
-        if constexpr (Domain::kRawBatch)
-            s.rawCut = std::min(rawTau_, domain_.rawThreshold(s.cut));
-        return s;
-    }
 
     /**
      * Batched consideration of the run [x0, x1] at row @p y (empty
      * when x0 > x1) against the gathered reference @p ref: one
      * distanceBatch dispatch per kChunk candidates (whole window rows
-     * in practice). Requires domain_.supportsBatch(). Candidates below
-     * Tmatch that the running cutoff rejected are counted into
-     * @p pruned.
+     * in practice), replayed into @p out by the matchReplay kernel
+     * with the list held in registers across the run. Requires
+     * domain_.supportsBatch().
      */
     void
     considerRun(const typename Domain::DescType *ref, int x0, int x1,
                 int y, MatchList &out, ScanState &scan,
-                uint64_t &evaluated, uint64_t &pruned) const
+                uint64_t &evaluated) const
     {
         // multiple of 8; > any usual window
         constexpr int kChunk = kMaxBatchCandidates;
-        if constexpr (Domain::kRawBatch) {
-            // Raw-side thresholding: the window scan stays in int32
-            // (no per-candidate int->float conversion) and candidates
-            // die on one integer compare. The cutoff is the exact raw
-            // image of min(tau, initial bound, current 16th-best
-            // distance) — in the DCT domain ~75% of candidates sit
-            // below tau, so gating on tau alone would convert and
-            // attempt an insert for nearly every candidate. d < cutoff
-            // implies the insert accepts, and (at infinite initial
-            // bound) every candidate the insert would accept satisfies
-            // d < cutoff (rawThreshold() is the exact boundary), so
-            // the selected set is bitwise identical to the dense scan.
-            int32_t d[kChunk];
-            for (int x = x0; x <= x1; x += kChunk) {
-                const int count = std::min(kChunk, x1 - x + 1);
-                domain_.distanceBatchRaw(ref, x, y, count, d);
-                for (int i = 0; i < count; ++i) {
-                    if (d[i] < scan.rawCut) {
-                        out.insert(
-                            Match{x + i, y, domain_.fromRaw(d[i])});
-                        scan.rawCut = std::min(
-                            scan.rawCut,
-                            domain_.rawThreshold(out.worstDistance()));
-                    } else if (d[i] < rawTau_) {
-                        ++pruned;
-                    }
-                }
-                evaluated += count;
-            }
-        } else {
-            float d[kChunk];
-            for (int x = x0; x <= x1; x += kChunk) {
-                const int count = std::min(kChunk, x1 - x + 1);
-                domain_.distanceBatch(ref, x, y, count, d);
-                for (int i = 0; i < count; ++i) {
-                    if (d[i] < scan.cut) {
-                        out.insert(Match{x + i, y, d[i]});
-                        scan.cut = std::min(scan.cut,
-                                            out.worstDistance());
-                    } else if (d[i] < tauMatch_) {
-                        ++pruned;
-                    }
-                }
-                evaluated += count;
-            }
+        float d[kChunk];
+        for (int x = x0; x <= x1; x += kChunk) {
+            const int count = std::min(kChunk, x1 - x + 1);
+            domain_.distanceBatch(ref, x, y, count, d);
+            const simd::MatchRun run{&out.slots(), &scan.cut, &scan.pruned,
+                                     d, nullptr, MatchList::pack(x, y),
+                                     count};
+            simd::kernels().matchReplay(&run, 1, tauMatch_);
+            evaluated += count;
         }
     }
 
@@ -926,7 +810,7 @@ class BlockMatcher
      */
     void
     considerCut(int xr, int yr, int x, int y, MatchList &out,
-                ScanState &scan, uint64_t &pruned) const
+                ScanState &scan) const
     {
         const float bound = std::min(scan.cut, out.worstDistance());
         float d = bounded_
@@ -936,7 +820,7 @@ class BlockMatcher
             out.insert(Match{x, y, d});
             scan.cut = std::min(scan.cut, out.worstDistance());
         } else if (d < tauMatch_) {
-            ++pruned;
+            ++scan.pruned;
         }
     }
 
@@ -945,7 +829,6 @@ class BlockMatcher
     int searchStride_;
     int refStride_;
     float tauMatch_;
-    int32_t rawTau_ = 0; ///< exact raw tau (kRawBatch domains only)
     int maxMatches_;
     bool bounded_;
 };

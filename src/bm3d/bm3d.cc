@@ -985,8 +985,15 @@ runBandedPipeline(const Bm3dConfig &cfg, const image::ImageF &noisy)
 } // namespace
 
 void
-requireFinite(const image::ImageF &frame, const char *who)
+requireValidFrame(const image::ImageF &frame, const char *who)
 {
+    if (frame.width() > kMaxFrameDim || frame.height() > kMaxFrameDim) {
+        std::ostringstream msg;
+        msg << who << ": " << frame.width() << "x" << frame.height()
+            << " frame exceeds the " << kMaxFrameDim
+            << "-pixel match-position limit";
+        throw std::invalid_argument(msg.str());
+    }
     const int w = frame.width();
     const size_t n = static_cast<size_t>(w) * frame.height();
     for (int c = 0; c < frame.channels(); ++c) {
@@ -1034,9 +1041,9 @@ Bm3d::runStage(Stage stage, const image::ImageF &noisy,
         noisy.height() < config_.patchSize) {
         throw std::invalid_argument("Bm3d: image smaller than patch");
     }
-    requireFinite(noisy, "Bm3d");
+    requireValidFrame(noisy, "Bm3d");
     if (basic != nullptr)
-        requireFinite(*basic, "Bm3d: basic estimate");
+        requireValidFrame(*basic, "Bm3d: basic estimate");
     obs::Span stage_span(stage == Stage::HardThreshold ? "bm3d.stage1"
                                                        : "bm3d.stage2",
                          "bm3d");
@@ -1129,7 +1136,7 @@ Bm3d::denoise(const image::ImageF &noisy) const
             noisy.height() < config_.patchSize) {
             throw std::invalid_argument("Bm3d: image smaller than patch");
         }
-        requireFinite(noisy, "Bm3d");
+        requireValidFrame(noisy, "Bm3d");
         if (config_.precision == Precision::Int16) {
             return runBandedPipeline<DctMatchDomainI16,
                                      ColorMatchDomainI16>(config_, noisy);

@@ -12,6 +12,7 @@
  */
 
 #include "bm3d/config.h"
+#include "bm3d/matchlist.h"
 #include "bm3d/profile.h"
 #include "image/image.h"
 
@@ -99,13 +100,18 @@ class Bm3d
     Bm3dConfig config_;
 };
 
+/** Largest frame width or height: match positions are 16 bits. */
+inline constexpr int kMaxFrameDim = MatchList::kMaxCoord;
+
 /**
- * Reject a frame holding a NaN or infinite sample: one such pixel
- * would spread through every stack and aggregation window that touches
- * it. @throws std::invalid_argument naming @p who and the first bad
- * sample in (channel, y, x) order.
+ * Reject a frame wider or taller than kMaxFrameDim (its match
+ * positions would not fit a MatchList or a seed slot), or holding a
+ * NaN or infinite sample (one such pixel would spread through every
+ * stack and aggregation window that touches it).
+ * @throws std::invalid_argument naming @p who and the size, or the
+ *         first bad sample in (channel, y, x) order
  */
-void requireFinite(const image::ImageF &frame, const char *who);
+void requireValidFrame(const image::ImageF &frame, const char *who);
 
 /**
  * Reference-patch top-left positions along one axis: 0, Ps, 2*Ps, ...

@@ -75,7 +75,7 @@ StreamDenoiser::submit(image::ImageF frame)
         throw std::invalid_argument(
             "StreamDenoiser: frame smaller than patch");
     }
-    bm3d::requireFinite(frame, "StreamDenoiser");
+    bm3d::requireValidFrame(frame, "StreamDenoiser");
     std::unique_lock<std::mutex> lock(mutex_);
     if (error_)
         std::rethrow_exception(error_);

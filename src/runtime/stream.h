@@ -131,8 +131,9 @@ class StreamDenoiser
     /**
      * Enqueue a frame (blocks while queueDepth frames are waiting).
      * Every frame must share the first frame's shape.
-     * @throws std::invalid_argument on a shape mismatch or a
-     *         non-finite sample (see bm3d::requireFinite)
+     * @throws std::invalid_argument on a shape mismatch, a frame
+     *         side above bm3d::kMaxFrameDim or a non-finite sample
+     *         (see bm3d::requireValidFrame)
      */
     void submit(image::ImageF frame);
 

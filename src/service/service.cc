@@ -234,7 +234,7 @@ bool
 DenoiseService::submit(SessionId id, image::ImageF frame)
 {
     // The one frame check that reads every sample runs before the lock.
-    bm3d::requireFinite(frame, "DenoiseService");
+    bm3d::requireValidFrame(frame, "DenoiseService");
     std::unique_lock<std::mutex> lock(mutex_);
     Session &s = sessionAt(id);
     if (error_)

@@ -251,8 +251,9 @@ class DenoiseService
      * returns true); under Reject it returns false immediately and
      * the reject is counted. Every frame must share the session's
      * first frame's shape.
-     * @throws std::invalid_argument on a shape mismatch or a
-     *         non-finite sample (see bm3d::requireFinite)
+     * @throws std::invalid_argument on a shape mismatch, a frame
+     *         side above bm3d::kMaxFrameDim or a non-finite sample
+     *         (see bm3d::requireValidFrame)
      */
     bool submit(SessionId id, image::ImageF frame);
 

@@ -23,6 +23,13 @@ extern const KernelTable kScalarTable;
 extern const KernelTable &kSseTable;
 extern const KernelTable &kAvx2Table;
 
+/**
+ * The scalar matchReplay, shared by the scalar and SSE tables: a
+ * 4-wide list would take eight registers and as many permutes per
+ * insert as the scalar shift loop has moves.
+ */
+void matchReplayScalar(const MatchRun *runs, int n, float tau);
+
 } // namespace detail
 } // namespace simd
 } // namespace ideal

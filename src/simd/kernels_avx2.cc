@@ -1516,6 +1516,133 @@ bm1LaneScan(const float *ref, int lanes, const float *const *planes,
     return hits;
 }
 
+/**
+ * matchReplay with the list held in registers across a run, like the
+ * BM engine's shift-register queue MQ (paper Fig. 6): per 8
+ * candidates one compare against the cutoff yields the hit mask, and
+ * each hit compares against all 16 slots at once and shifts in one
+ * step. For a sorted list, inserting d after every slot <= d is
+ *   slot[i] = max(slot[i - 1], min(d, slot[i]))
+ * with slot[-1] = -inf: below the insert position the min keeps the slot,
+ * at it both give d, above it the max takes the shifted slot. The
+ * operand order makes ties keep the held value's bits (min_ps / max_ps
+ * return their second operand on equality), as matchInsert does, and
+ * the position lanes follow the same two compares. A list built by
+ * this rule holds no NaN, which the compares rely on. Lanes at or past
+ * the capacity may take shifted-out values inside the loop; no lane
+ * below it ever reads them, and the store resets them to +inf / 0.
+ */
+void
+matchReplay(const MatchRun *runs, int n, float tau)
+{
+    const __m256i lane_lo = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i lane_hi = _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15);
+    const __m256i up_one = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
+    const __m256i top = _mm256_set1_epi32(7);
+    const __m256 vtau = _mm256_set1_ps(tau);
+    const __m256 neg_inf = _mm256_set1_ps(-INFINITY);
+    for (int r = 0; r < n; ++r) {
+        const MatchRun &run = runs[r];
+        MatchSlots &list = *run.list;
+        __m256 d0 = _mm256_loadu_ps(list.dist);
+        __m256 d1 = _mm256_loadu_ps(list.dist + 8);
+        __m256i p0 = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(list.pos));
+        __m256i p1 = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(list.pos + 8));
+        const int cap = list.capacity;
+        const __m256i worst_lane = _mm256_set1_epi32((cap - 1) & 7);
+        int size = list.size;
+        float cut = *run.cut;
+        int32_t pruned = *run.pruned;
+        for (int j0 = 0; j0 < run.count; j0 += 8) {
+            const int m = std::min(8, run.count - j0);
+            const __m256 v =
+                m == 8 ? _mm256_loadu_ps(run.dist + j0)
+                       : _mm256_maskload_ps(
+                             run.dist + j0,
+                             _mm256_cmpgt_epi32(_mm256_set1_epi32(m),
+                                                lane_lo));
+            const unsigned valid = (1u << m) - 1u;
+            unsigned hit = static_cast<unsigned>(_mm256_movemask_ps(
+                               _mm256_cmp_ps(v, _mm256_set1_ps(cut),
+                                             _CMP_LT_OQ))) &
+                           valid;
+            const unsigned below_tau =
+                static_cast<unsigned>(_mm256_movemask_ps(
+                    _mm256_cmp_ps(v, vtau, _CMP_LT_OQ))) &
+                valid;
+            // Lanes that miss the cutoff at the start of the group miss
+            // every later (tighter) cutoff too.
+            pruned += _mm_popcnt_u32(below_tau & ~hit);
+            while (hit != 0) {
+                const int k = __builtin_ctz(hit);
+                hit &= hit - 1u;
+                const float d = run.dist[j0 + k];
+                if (!(d < cut)) {
+                    pruned += d < tau ? 1 : 0;
+                    continue;
+                }
+                const uint32_t pos =
+                    run.pos != nullptr
+                        ? run.pos[j0 + k]
+                        : run.pos0 + static_cast<uint32_t>(j0 + k);
+                const __m256 dv = _mm256_set1_ps(d);
+                const __m256i vpos = _mm256_set1_epi32(static_cast<int>(pos));
+                // Shifted lists: lane i holds slot i - 1 (slot -1 =
+                // -inf; its position lane is never selected).
+                const __m256 s0 = _mm256_blend_ps(
+                    _mm256_permutevar8x32_ps(d0, up_one), neg_inf, 1);
+                const __m256 s1 = _mm256_blend_ps(
+                    _mm256_permutevar8x32_ps(d1, up_one),
+                    _mm256_permutevar8x32_ps(d0, top), 1);
+                const __m256i sp0 = _mm256_permutevar8x32_epi32(p0, up_one);
+                const __m256i sp1 = _mm256_blend_epi32(
+                    _mm256_permutevar8x32_epi32(p1, up_one),
+                    _mm256_permutevar8x32_epi32(p0, top), 1);
+                // at0/at1: slot > d (at or above the insert position);
+                // up0/up1: slot - 1 > d (above it).
+                const __m256 at0 = _mm256_cmp_ps(dv, d0, _CMP_LT_OQ);
+                const __m256 at1 = _mm256_cmp_ps(dv, d1, _CMP_LT_OQ);
+                const __m256 up0 = _mm256_cmp_ps(dv, s0, _CMP_LT_OQ);
+                const __m256 up1 = _mm256_cmp_ps(dv, s1, _CMP_LT_OQ);
+                d0 = _mm256_max_ps(s0, _mm256_min_ps(dv, d0));
+                d1 = _mm256_max_ps(s1, _mm256_min_ps(dv, d1));
+                p0 = _mm256_blendv_epi8(
+                    _mm256_blendv_epi8(p0, vpos, _mm256_castps_si256(at0)),
+                    sp0, _mm256_castps_si256(up0));
+                p1 = _mm256_blendv_epi8(
+                    _mm256_blendv_epi8(p1, vpos, _mm256_castps_si256(at1)),
+                    sp1, _mm256_castps_si256(up1));
+                size += size < cap ? 1 : 0;
+                if (size == cap) {
+                    const float worst = _mm256_cvtss_f32(
+                        _mm256_permutevar8x32_ps(cap > 8 ? d1 : d0,
+                                                 worst_lane));
+                    cut = std::min(cut, worst);
+                }
+            }
+        }
+        if (cap < MatchSlots::kCapacity) {
+            const __m256i vcap = _mm256_set1_epi32(cap);
+            const __m256i in0 = _mm256_cmpgt_epi32(vcap, lane_lo);
+            const __m256i in1 = _mm256_cmpgt_epi32(vcap, lane_hi);
+            const __m256 inf = _mm256_set1_ps(INFINITY);
+            d0 = _mm256_blendv_ps(inf, d0, _mm256_castsi256_ps(in0));
+            d1 = _mm256_blendv_ps(inf, d1, _mm256_castsi256_ps(in1));
+            p0 = _mm256_and_si256(p0, in0);
+            p1 = _mm256_and_si256(p1, in1);
+        }
+        _mm256_storeu_ps(list.dist, d0);
+        _mm256_storeu_ps(list.dist + 8, d1);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(list.pos), p0);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(list.pos + 8), p1);
+        list.size = size;
+        *run.cut = cut;
+        *run.pruned = pruned;
+    }
+}
+
 const KernelTable kAvx2TableStorage = {
     ssd,           ssdBounded,      ssdFull,       ssdBatch16,
     ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
@@ -1528,7 +1655,7 @@ const KernelTable kAvx2TableStorage = {
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
-    bm1LaneScan,
+    bm1LaneScan,   matchReplay,
 };
 
 } // namespace

@@ -882,6 +882,33 @@ bm1LaneScan(const float *ref, int lanes, const float *const *planes,
 
 } // namespace
 
+void
+matchReplayScalar(const MatchRun *runs, int n, float tau)
+{
+    for (int r = 0; r < n; ++r) {
+        const MatchRun &run = runs[r];
+        MatchSlots &list = *run.list;
+        const int last = list.capacity - 1;
+        float cut = *run.cut;
+        int32_t pruned = *run.pruned;
+        for (int j = 0; j < run.count; ++j) {
+            const float d = run.dist[j];
+            if (d < cut) {
+                matchInsert(list, d,
+                            run.pos != nullptr
+                                ? run.pos[j]
+                                : run.pos0 + static_cast<uint32_t>(j));
+                if (list.size == list.capacity)
+                    cut = std::min(cut, list.dist[last]);
+            } else if (d < tau) {
+                ++pruned;
+            }
+        }
+        *run.cut = cut;
+        *run.pruned = pruned;
+    }
+}
+
 const KernelTable kScalarTable = {
     ssd,           ssdBounded,      ssdFull,       ssdBatch16,
     ssdSoa,        ssdSoaBatch,     dct4Forward,   dct4Inverse,
@@ -894,7 +921,7 @@ const KernelTable kScalarTable = {
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
-    bm1LaneScan,
+    bm1LaneScan,   matchReplayScalar,
 };
 
 } // namespace detail

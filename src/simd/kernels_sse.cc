@@ -1454,7 +1454,7 @@ const KernelTable kSseTableStorage = {
     haarShrinkFused, wienerShrinkFused, aggregateGroup,
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
-    bm1LaneScan,
+    bm1LaneScan,   matchReplayScalar,
 };
 
 } // namespace

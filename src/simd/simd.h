@@ -70,6 +70,60 @@ enum class Level {
 const char *toString(Level level);
 
 /**
+ * Storage of one bounded best-match list, the state matchReplay
+ * works on (bm3d::MatchList keeps exactly this, DESIGN §16.4). Struct
+ * of arrays so a 16-slot list is four 256-bit registers: distances
+ * ascending and +inf from index size on, positions packed
+ * x | y << 16 and 0 from index size on.
+ */
+struct MatchSlots
+{
+    static constexpr int kCapacity = 16;
+
+    float dist[kCapacity];
+    uint32_t pos[kCapacity];
+    int32_t size;
+    int32_t capacity; ///< in [1, kCapacity]
+};
+
+/**
+ * Insert (d, pos) after every held slot with distance <= d; a full
+ * list drops its last slot, or keeps d out when d >= that slot.
+ * Returns true if kept. This is the one definition of the list's
+ * insertion rule (MatchList::insert and the scalar matchReplay).
+ */
+inline bool
+matchInsert(MatchSlots &s, float d, uint32_t pos)
+{
+    const int cap = s.capacity;
+    if (s.size == cap && d >= s.dist[cap - 1])
+        return false;
+    int i = s.size < cap ? s.size : cap - 1;
+    while (i > 0 && s.dist[i - 1] > d) {
+        s.dist[i] = s.dist[i - 1];
+        s.pos[i] = s.pos[i - 1];
+        --i;
+    }
+    s.dist[i] = d;
+    s.pos[i] = pos;
+    if (s.size < cap)
+        ++s.size;
+    return true;
+}
+
+/** One run of scored candidates for matchReplay, all into one list. */
+struct MatchRun
+{
+    MatchSlots *list;
+    float *cut;          ///< running acceptance cutoff (in/out)
+    int32_t *pruned;     ///< pruned-insert count (in/out)
+    const float *dist;   ///< @p count distances, in scan order
+    const uint32_t *pos; ///< their packed positions; null: pos0 + j
+    uint32_t pos0;
+    int count;
+};
+
+/**
  * The set of hot kernels. All pointers are always non-null; the
  * scalar table is the reference semantics every other level must
  * reproduce bitwise.
@@ -438,6 +492,23 @@ struct KernelTable
                        int pos_x, int steps, int skip, float scale,
                        float tau, const float *cut, int32_t *pruned,
                        int32_t *hit_idx, float *hit_dist);
+
+    // ---- match selection (DESIGN §16.4) ----------------------------
+
+    /**
+     * Replay runs[0, n) in order into their lists with
+     * BlockMatcher::considerRun's rule. For candidate j of a run, with
+     * d = dist[j]:
+     *   d <  *cut  -> matchInsert(d, pos[j]); then, if the list is
+     *                 full, *cut = min(*cut, dist[capacity - 1])
+     *                 (std::min's operand order);
+     *   else if d < tau -> ++*pruned.
+     * NaN distances are neither. The replay only compares and moves
+     * values, so lists (tie order included), cutoffs and pruned counts
+     * are bitwise equal at every level. There is no SSE variant: the
+     * SSE table points at the scalar one.
+     */
+    void (*matchReplay)(const MatchRun *runs, int n, float tau);
 };
 
 /** Best level this CPU supports (probed once). */

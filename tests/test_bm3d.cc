@@ -149,6 +149,32 @@ TEST(Bm3d, RejectsNonFiniteInput)
     }
 }
 
+// Match positions are packed into 16 bits per axis (MatchList, seed
+// slots): a wider or taller frame is rejected up front rather than
+// denoised with wrapped positions.
+TEST(Bm3d, RejectsFramesBeyondMatchPositionRange)
+{
+    const image::ImageF wide(65537, 8, 1);
+    for (bool banded : {false, true}) {
+        Bm3dConfig cfg = smallConfig();
+        cfg.band.enabled = banded;
+        try {
+            Bm3d(cfg).denoise(wide);
+            ADD_FAILURE() << "accepted 65537x8, banded=" << banded;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("65537x8"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const Bm3d denoiser(smallConfig());
+    bm3d::Profile p;
+    EXPECT_THROW(denoiser.runStage(Stage::HardThreshold, wide, nullptr, p),
+                 std::invalid_argument);
+    EXPECT_THROW(denoiser.runStage(Stage::Wiener, wide, &wide, p),
+                 std::invalid_argument);
+}
+
 TEST(Bm3d, WienerStageRequiresBasic)
 {
     Bm3d denoiser(smallConfig());
@@ -1106,6 +1132,53 @@ TEST(Bm3dGolden, PinnedHashesAcrossLevelsThreadsSchedules)
                     EXPECT_EQ(hashImage(r.output), pin.output)
                         << std::hex << "output 0x" << hashImage(r.output);
                 }
+            }
+        }
+    }
+    simd::setLevel(simd::bestSupported());
+}
+
+// Golden pins of the per-reference scans at refStride 2 (neither band
+// scan applies, so BM1 and BM2 both run BlockMatcher::search), recorded
+// from the code before the match-list replay kernel (DESIGN §16.4)
+// existed. Float32 and Int16 matching, every level and thread count.
+TEST(Bm3dGolden, PinnedHashesRefStrideTwoPerReference)
+{
+    struct Pin
+    {
+        bm3d::Precision precision;
+        uint64_t basic;
+        uint64_t output;
+    };
+    const Pin pins[] = {
+        {bm3d::Precision::Float32, 0x2e3dc2a8d1ea48b1ull,
+         0x351df9b87d528822ull},
+        {bm3d::Precision::Int16, 0xea31fa893d2c75d1ull,
+         0x228967c276f2ac4eull},
+    };
+    auto scene = makeTestScene(image::SceneKind::Texture, 96, 25.0f, 91);
+    for (const Pin &pin : pins) {
+        for (int l = 0; l <= static_cast<int>(simd::bestSupported());
+             ++l) {
+            simd::setLevel(static_cast<simd::Level>(l));
+            for (int threads : {1, 4}) {
+                Bm3dConfig cfg;
+                cfg.refStride = 2;
+                cfg.searchWindow1 = 25;
+                cfg.searchWindow2 = 19;
+                cfg.precision = pin.precision;
+                cfg.numThreads = threads;
+                auto r = Bm3d(cfg).denoise(scene.noisy);
+                SCOPED_TRACE(testing::Message()
+                             << "precision="
+                             << static_cast<int>(pin.precision)
+                             << " level="
+                             << simd::toString(static_cast<simd::Level>(l))
+                             << " threads=" << threads);
+                EXPECT_EQ(hashImage(r.basic), pin.basic)
+                    << std::hex << "basic 0x" << hashImage(r.basic);
+                EXPECT_EQ(hashImage(r.output), pin.output)
+                    << std::hex << "output 0x" << hashImage(r.output);
             }
         }
     }

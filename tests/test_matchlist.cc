@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "bm3d/blockmatch.h"
@@ -76,6 +78,121 @@ TEST(MatchList, ClearEmpties)
     list.clear();
     EXPECT_EQ(list.size(), 0);
     EXPECT_TRUE(list.empty());
+}
+
+namespace {
+
+/** The list as it was stored before the SoA layout: array of Match. */
+class AosMatchList
+{
+  public:
+    explicit AosMatchList(int capacity) : capacity_(capacity) {}
+
+    int size() const { return size_; }
+    const Match &operator[](int i) const { return entries_[i]; }
+
+    float
+    worstDistance() const
+    {
+        return size_ < capacity_ ? std::numeric_limits<float>::infinity()
+                                 : entries_[size_ - 1].distance;
+    }
+
+    bool
+    insert(const Match &candidate)
+    {
+        if (size_ == capacity_ &&
+            candidate.distance >= entries_[size_ - 1].distance)
+            return false;
+        int pos = size_ < capacity_ ? size_ : capacity_ - 1;
+        while (pos > 0 && entries_[pos - 1].distance > candidate.distance) {
+            entries_[pos] = entries_[pos - 1];
+            --pos;
+        }
+        entries_[pos] = candidate;
+        if (size_ < capacity_)
+            ++size_;
+        return true;
+    }
+
+  private:
+    int capacity_;
+    int size_ = 0;
+    Match entries_[MatchList::kCapacity];
+};
+
+uint32_t
+bitsOf(float v)
+{
+    uint32_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+} // namespace
+
+// The SoA list (DESIGN §16.4) must read back exactly what the former
+// array-of-Match list held: through operator[], the x/y/distance
+// accessors and iteration, after every insert, including ties, signed
+// zeros, infinities, NaN and coordinates at the 16-bit limit.
+TEST(MatchList, SoaAccessorsMatchArrayOfMatchList)
+{
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              0.0f, -0.0f};
+    uint64_t state = 77;
+    auto next = [&state]() {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    for (int cap = 1; cap <= MatchList::kCapacity; ++cap) {
+        MatchList soa(cap);
+        AosMatchList aos(cap);
+        for (int n = 0; n < 60; ++n) {
+            Match m;
+            m.x = n % 7 == 0 ? MatchList::kMaxCoord
+                             : static_cast<int>(next() % 65536);
+            m.y = n % 11 == 0 ? MatchList::kMaxCoord
+                              : static_cast<int>(next() % 65536);
+            m.distance = next() % 9 == 0
+                             ? specials[next() % 5]
+                             : static_cast<float>(next() % 12);
+            ASSERT_EQ(soa.insert(m), aos.insert(m)) << "insert " << n;
+            ASSERT_EQ(soa.size(), aos.size());
+            EXPECT_EQ(bitsOf(soa.worstDistance()),
+                      bitsOf(aos.worstDistance()));
+            int i = 0;
+            for (const Match &got : soa) {
+                const Match &want = aos[i];
+                EXPECT_EQ(got.x, want.x);
+                EXPECT_EQ(got.y, want.y);
+                EXPECT_EQ(bitsOf(got.distance), bitsOf(want.distance));
+                EXPECT_EQ(soa.x(i), want.x);
+                EXPECT_EQ(soa.y(i), want.y);
+                EXPECT_EQ(bitsOf(soa.distance(i)), bitsOf(want.distance));
+                EXPECT_EQ(bitsOf(soa[i].distance), bitsOf(want.distance));
+                ++i;
+            }
+            EXPECT_EQ(i, aos.size());
+        }
+    }
+}
+
+TEST(MatchList, PaddingPastSizeIsInfinityAndZero)
+{
+    MatchList list(5);
+    list.insert({3, 4, 2.0f});
+    list.insert({5, 6, 1.0f});
+    const simd::MatchSlots &s = list.slots();
+    EXPECT_EQ(s.pos[0], MatchList::pack(5, 6));
+    EXPECT_EQ(s.pos[1], MatchList::pack(3, 4));
+    for (int k = 2; k < MatchList::kCapacity; ++k) {
+        EXPECT_TRUE(std::isinf(s.dist[k]) && s.dist[k] > 0) << k;
+        EXPECT_EQ(s.pos[k], 0u) << k;
+    }
+    list.clear();
+    EXPECT_TRUE(std::isinf(list.slots().dist[0]));
 }
 
 namespace {

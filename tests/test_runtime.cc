@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -366,6 +367,23 @@ TEST_F(RuntimeTest, RejectsNonFiniteFrames)
     EXPECT_TRUE(second.raw() == clean.collect().raw());
 }
 
+TEST_F(RuntimeTest, RejectsFramesBeyondMatchPositionRange)
+{
+    StreamDenoiser stream(smallStreamConfig(1));
+    try {
+        stream.submit(image::ImageF(65537, 8, 1));
+        ADD_FAILURE() << "accepted a 65537x8 frame";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("65537x8"), std::string::npos)
+            << e.what();
+    }
+    // The rejected frame did not fix the stream's shape.
+    const auto clip = staticClip(1, 32, 32, 25.0f, 73);
+    stream.submit(image::ImageF(clip[0]));
+    stream.finish();
+    EXPECT_EQ(stream.collect().width(), 32);
+}
+
 TEST_F(RuntimeTest, ConfigValidation)
 {
     StreamConfig cfg = smallStreamConfig(1);
@@ -485,4 +503,82 @@ TEST_F(RuntimeTest, FusedDenoiseComposesWithSeededStream)
     ASSERT_EQ(fused.size(), discrete.size());
     for (size_t f = 0; f < fused.size(); ++f)
         EXPECT_TRUE(fused[f].raw() == discrete[f].raw()) << "frame " << f;
+}
+
+namespace {
+
+/** FNV-1a over the float bit patterns: bitwise output equality. */
+uint64_t
+hashImage(const image::ImageF &img)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (float v : img.raw()) {
+        uint32_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+// Golden pins of a temporally seeded stream, recorded from the code
+// before the match-list replay kernel (DESIGN §16.4) existed: a
+// 3-frame 96x64 pan (1 px per frame) at window 13, refStride 2, both
+// stages, Float32 and Int16 matching (seeding applies to the float
+// BM1 domain; Int16 runs its per-reference scans). Every level and
+// thread count must reproduce them, so seeded and per-reference scans
+// are checked against the old arithmetic rather than against
+// themselves.
+TEST_F(RuntimeTest, SeededStreamGoldenPins)
+{
+    struct Pin
+    {
+        bm3d::Precision precision;
+        uint64_t frames[3];
+    };
+    const Pin pins[] = {
+        {bm3d::Precision::Float32,
+         {0x6187d87963bfd1adull, 0x1fd137e0e04e0937ull,
+          0xf29c33c2010aab79ull}},
+        {bm3d::Precision::Int16,
+         {0x53a885755272dcc6ull, 0xe5a2be85b8356c94ull,
+          0x38fa54ce5ac55eacull}},
+    };
+    const image::ImageF scene =
+        image::makeScene(image::SceneKind::Street, 98, 64, 1, 113);
+    std::vector<image::ImageF> clip;
+    for (int f = 0; f < 3; ++f)
+        clip.push_back(image::addGaussianNoise(scene.crop(f, 0, 96, 64),
+                                               25.0f, 114 + f));
+    for (const Pin &pin : pins) {
+        for (int l = 0; l <= static_cast<int>(simd::bestSupported());
+             ++l) {
+            simd::setLevel(static_cast<simd::Level>(l));
+            for (int threads : {1, 4}) {
+                StreamConfig cfg = smallStreamConfig(threads, true);
+                cfg.frame.precision = pin.precision;
+                cfg.temporalSeed = true;
+                StreamStats stats;
+                const auto out = streamOutputs(cfg, clip, &stats);
+                SCOPED_TRACE(testing::Message()
+                             << "precision="
+                             << static_cast<int>(pin.precision)
+                             << " level="
+                             << simd::toString(static_cast<simd::Level>(l))
+                             << " threads=" << threads);
+                // Temporal seeding serves the float BM1 domain only.
+                if (pin.precision == bm3d::Precision::Float32) {
+                    EXPECT_GT(stats.seedHits, 0u);
+                }
+                for (int f = 0; f < 3; ++f)
+                    EXPECT_EQ(hashImage(out[f]), pin.frames[f])
+                        << std::hex << "frame " << f << " 0x"
+                        << hashImage(out[f]);
+            }
+        }
+    }
 }

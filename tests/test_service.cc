@@ -827,3 +827,20 @@ TEST_F(ServiceTest, LifecycleAndValidationErrors)
                  std::logic_error);
     svc.finish(); // idempotent
 }
+
+TEST_F(ServiceTest, RejectsFramesBeyondMatchPositionRange)
+{
+    DenoiseService svc;
+    SessionConfig tenant;
+    tenant.name = "wide";
+    tenant.stream = smallStreamConfig(1);
+    const SessionId id = svc.openSession(tenant);
+    try {
+        svc.submit(id, image::ImageF(65537, 8, 1));
+        ADD_FAILURE() << "accepted a 65537x8 frame";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("65537x8"), std::string::npos)
+            << e.what();
+    }
+    svc.finish();
+}

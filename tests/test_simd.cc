@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "bm3d/matchlist.h"
 #include "simd/simd.h"
 #include "transforms/dct.h"
 #include "transforms/distance.h"
@@ -187,6 +189,7 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
         EXPECT_NE(k.bandColSum4, nullptr);
         EXPECT_NE(k.bandFoldSelect, nullptr);
         EXPECT_NE(k.bm1LaneScan, nullptr);
+        EXPECT_NE(k.matchReplay, nullptr);
     }
 }
 
@@ -1234,4 +1237,199 @@ TEST_F(SimdParity, Bm1LaneScanMatchesScalarBitwise)
         }
     }
     EXPECT_GT(total_hits, 100); // the cutoffs sit inside the distances
+}
+
+// ---------------------------------------------------------------------
+// Match selection (DESIGN §16.4).
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** One list's replay state: the list, its cutoff and pruned count. */
+struct ReplayState
+{
+    bm3d::MatchList list;
+    float cut = 0.0f;
+    int32_t pruned = 0;
+};
+
+/** One call shape: runs over the states, candidates per run. */
+struct ReplayCase
+{
+    std::vector<int> target;             ///< state index of each run
+    std::vector<std::vector<float>> dist; ///< candidates of each run
+    std::vector<std::vector<uint32_t>> pos; ///< empty: contiguous
+    std::vector<uint32_t> pos0;
+};
+
+/**
+ * The reference: BlockMatcher::considerRun's rule as a loop over
+ * MatchList::insert.
+ */
+void
+replayWithInsert(std::vector<ReplayState> &states, const ReplayCase &c,
+                 float tau)
+{
+    for (size_t r = 0; r < c.target.size(); ++r) {
+        ReplayState &st = states[c.target[r]];
+        for (size_t j = 0; j < c.dist[r].size(); ++j) {
+            const float d = c.dist[r][j];
+            const uint32_t p = c.pos[r].empty()
+                                   ? c.pos0[r] + static_cast<uint32_t>(j)
+                                   : c.pos[r][j];
+            if (d < st.cut) {
+                st.list.insert(bm3d::Match{static_cast<int>(p & 0xffffu),
+                                           static_cast<int>(p >> 16), d});
+                st.cut = std::min(st.cut, st.list.worstDistance());
+            } else if (d < tau) {
+                ++st.pruned;
+            }
+        }
+    }
+}
+
+void
+replayWithKernel(const simd::KernelTable &k,
+                 std::vector<ReplayState> &states, const ReplayCase &c,
+                 float tau)
+{
+    std::vector<simd::MatchRun> runs;
+    for (size_t r = 0; r < c.target.size(); ++r) {
+        ReplayState &st = states[c.target[r]];
+        runs.push_back({&st.list.slots(), &st.cut, &st.pruned,
+                        c.dist[r].data(),
+                        c.pos[r].empty() ? nullptr : c.pos[r].data(),
+                        c.pos0[r], static_cast<int>(c.dist[r].size())});
+    }
+    k.matchReplay(runs.data(), static_cast<int>(runs.size()), tau);
+}
+
+/** Compare two states slot for slot (padding included), bitwise. */
+void
+expectSameState(const ReplayState &want, const ReplayState &got, int i)
+{
+    const simd::MatchSlots &a = want.list.slots();
+    const simd::MatchSlots &b = got.list.slots();
+    ASSERT_EQ(a.size, b.size) << "state " << i;
+    ASSERT_EQ(a.capacity, b.capacity) << "state " << i;
+    for (int k = 0; k < simd::MatchSlots::kCapacity; ++k) {
+        expectBitEqual(a.dist[k], b.dist[k], "slot distance", k);
+        EXPECT_EQ(a.pos[k], b.pos[k]) << "state " << i << " slot " << k;
+    }
+    expectBitEqual(want.cut, got.cut, "cutoff", i);
+    EXPECT_EQ(want.pruned, got.pruned) << "state " << i;
+}
+
+} // namespace
+
+TEST_F(SimdParity, MatchReplayMatchesScalarBitwise)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {nan, inf, -inf, 0.0f, -0.0f};
+    Rng rng(1919);
+    // Distance sources: spread values, few distinct values (ties),
+    // all equal (tie order only), and the specials mixed in.
+    auto draw = [&](int source) {
+        switch (source) {
+        case 0:
+            return rng.uniform(0.0f, 100.0f);
+        case 1:
+            return static_cast<float>(rng.next() % 6) * 10.0f;
+        case 2:
+            return 25.0f;
+        default:
+            return rng.next() % 4 == 0 ? specials[rng.next() % 5]
+                                       : rng.uniform(-1.0f, 60.0f);
+        }
+    };
+    const int lengths[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 127,
+                           128};
+    int cases = 0;
+    for (int cap = 1; cap <= 16; ++cap) {
+        for (float bound : {inf, 40.0f}) {
+            for (float tau : {50.0f, 1e30f}) {
+                for (int source = 0; source < 4; ++source) {
+                    for (int shape = 0; shape < 3; ++shape) {
+                        for (int len : lengths) {
+                            // Shape (a): one list, one contiguous run.
+                            // (b): 8 lists, a run each (explicit
+                            // positions). (c): len lists, one
+                            // candidate each.
+                            const int lists = shape == 0   ? 1
+                                              : shape == 1 ? 8
+                                                           : len;
+                            std::vector<ReplayState> init(lists);
+                            for (int i = 0; i < lists; ++i) {
+                                ReplayState &st = init[i];
+                                st.list = bm3d::MatchList(cap);
+                                st.list.insert(bm3d::Match{i, 7, 0.0f});
+                                st.cut = std::min(tau, bound);
+                                st.pruned = i;
+                                // Some lists start partly filled.
+                                const int pre = static_cast<int>(
+                                    rng.next() % (cap + 1));
+                                for (int k = 1; k < pre; ++k) {
+                                    const float d = rng.uniform(0.0f, 45.0f);
+                                    if (d < st.cut) {
+                                        st.list.insert(
+                                            bm3d::Match{k, 3, d});
+                                        st.cut = std::min(
+                                            st.cut,
+                                            st.list.worstDistance());
+                                    }
+                                }
+                            }
+                            ReplayCase c;
+                            for (int r = 0; r < lists; ++r) {
+                                const int n = shape == 0   ? len
+                                              : shape == 1 ? 1 + (len + r) %
+                                                                     len
+                                                           : 1;
+                                c.target.push_back(
+                                    shape == 1 ? (r * 5) % lists : r);
+                                std::vector<float> d(n);
+                                std::vector<uint32_t> p;
+                                for (float &v : d)
+                                    v = draw(source);
+                                if (shape == 1)
+                                    for (int j = 0; j < n; ++j)
+                                        p.push_back(bm3d::MatchList::pack(
+                                            static_cast<int>(rng.next() %
+                                                             65536),
+                                            static_cast<int>(rng.next() %
+                                                             65536)));
+                                c.dist.push_back(d);
+                                c.pos.push_back(p);
+                                c.pos0.push_back(bm3d::MatchList::pack(
+                                    100 + r, 65535));
+                            }
+                            std::vector<ReplayState> want = init;
+                            replayWithInsert(want, c, tau);
+                            for (simd::Level level : availableLevels()) {
+                                std::vector<ReplayState> got = init;
+                                replayWithKernel(simd::kernelsFor(level),
+                                                 got, c, tau);
+                                SCOPED_TRACE(testing::Message()
+                                             << "level="
+                                             << simd::toString(level)
+                                             << " cap=" << cap
+                                             << " bound=" << bound
+                                             << " tau=" << tau
+                                             << " source=" << source
+                                             << " shape=" << shape
+                                             << " len=" << len);
+                                for (int i = 0; i < lists; ++i)
+                                    expectSameState(want[i], got[i], i);
+                                if (HasFailure())
+                                    return;
+                            }
+                            ++cases;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 16 * 2 * 2 * 4 * 3 * 14);
 }

@@ -19,11 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <cstring>
 #include <vector>
 
+#include "bm3d/blockmatch.h"
 #include "bm3d/bm3d.h"
+#include "bm3d/patchfield.h"
 #include "fixed/format.h"
 #include "fixed/int16plan.h"
 #include "image/image.h"
@@ -745,4 +749,65 @@ TEST_F(SimdInt16, HaarShrinkFusedI16DifferentialEdgeCases)
         EXPECT_EQ(kept_ref, kept);
         EXPECT_EQ(alt_ref, alt);
     }
+}
+
+// ---------------------------------------------------------------------
+// The Int16 window scans threshold fromRaw(raw) floats (DESIGN §16.4).
+// They used to compare the raw SSD against the exact raw image of the
+// cutoff instead; fromRaw is monotone in raw, so both select the same
+// candidates. Checked over +-64 raws around the raw threshold of
+// several cutoffs, with both domains' real ssdFactors.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * min { r : fromRaw(r) >= c }, clamped to INT32_MAX: the raw-side
+ * cutoff the Int16 scans used, found the way they found it (truncated
+ * estimate, then nudged across the rounding boundary).
+ */
+template <typename Domain>
+int32_t
+rawThreshold(const Domain &domain, float c)
+{
+    const float factor = domain.fromRaw(1);
+    int64_t t = bm3d::DctMatchDomainI16::rawBound(c, factor);
+    while (t < INT32_MAX && domain.fromRaw(static_cast<int32_t>(t)) < c)
+        ++t;
+    while (t > 0 && domain.fromRaw(static_cast<int32_t>(t - 1)) >= c)
+        --t;
+    return static_cast<int32_t>(t);
+}
+
+template <typename Domain>
+void
+expectRawCutoffEquivalent(const Domain &domain, const char *name)
+{
+    for (float c : {0.25f, 1.0f, 37.3f, 400.0f, 2500.0f, 3000.0f, 12345.6f,
+                    1e30f}) {
+        const int32_t t = rawThreshold(domain, c);
+        const int64_t lo = std::max<int64_t>(0, int64_t{t} - 64);
+        const int64_t hi = std::min<int64_t>(INT32_MAX - 1, int64_t{t} + 64);
+        for (int64_t r = lo; r <= hi; ++r) {
+            const int32_t raw = static_cast<int32_t>(r);
+            EXPECT_EQ(raw < t, domain.fromRaw(raw) < c)
+                << name << " cutoff " << c << " raw " << raw
+                << " threshold " << t;
+        }
+    }
+}
+
+} // namespace
+
+TEST_F(SimdInt16, RawCutoffMatchesFloatCompareOfFromRaw)
+{
+    const image::ImageF plane = image::makeScene(
+        image::SceneKind::Street, 24, 24, 1, 4242);
+    const transforms::Dct2D dct(4);
+    bm3d::DctPatchField field;
+    field.build(plane, dct, 50.0f, std::nullopt, nullptr);
+    field.prepareI16();
+    field.fillRowsI16(plane, dct, 50.0f, 0, field.positionsY());
+    expectRawCutoffEquivalent(bm3d::DctMatchDomainI16(field), "dct");
+    expectRawCutoffEquivalent(bm3d::ColorMatchDomainI16(plane, 4), "color");
 }
