@@ -141,8 +141,12 @@ main()
 
     // ---- Software streaming runtime (src/runtime, DESIGN §9) ----
     const bool full = bench::fullScale();
-    const int sw = full ? 1920 : 320;
-    const int sh = full ? 1080 : 180;
+    // A quarter of 1080p at default scale: 8 tiles per band and 5
+    // bands, so even at 8 threads the stream's ring field holds about
+    // half the grid and stays below the batch path's whole field
+    // (mem.peakBandBytes < mem.peakFieldBytes, gated in CI).
+    const int sw = full ? 1920 : 960;
+    const int sh = full ? 1080 : 540;
     const int frames = full ? 16 : 8;
 
     bm3d::Bm3dConfig fcfg;

@@ -116,7 +116,8 @@ main(int argc, char **argv)
         {"dct4_fwd", {}},   {"dct4_inv", {}},   {"haar_pair", {}},
         {"hard_thr", {}},   {"wiener", {}},     {"aggregate", {}},
         {"merge_add", {}},  {"ssd_int16", {}},  {"ssd_soa_batch_int16", {}},
-        {"ssd_pair_batch_int16", {}},           {"dct4_fwd_int16", {}},
+        {"ssd_pair_batch_int16", {}},           {"ssd_pair_batch_int16_w13", {}},
+        {"dct4_fwd_int16", {}},
         {"haar_shrink_fused", {}},              {"wiener_shrink_fused", {}},
         {"aggregate_group", {}},    {"haar_shrink_fused_int16", {}},
         {"ssd_scan", {}},           {"bm2_scan_ref", {}},
@@ -422,6 +423,20 @@ main(int argc, char **argv)
                                       static_cast<size_t>(i), 16, 64,
                                       out);
                     g_sink += static_cast<float>(out[0] + out[63]);
+                }
+        });
+
+        // The same kernel at window 13 (video_hd's BM1 rows): 13-wide
+        // runs, the 8-wide overlapped pass, over the same candidates.
+        record([&] {
+            int32_t out[13];
+            for (int it = 0; it < iters; ++it)
+                for (int i = 0; i + 13 <= patches; i += 13) {
+                    k.ssdPairBatchI16(pool_i16.data(),
+                                      pair_planes_i16.data(),
+                                      static_cast<size_t>(i), 16, 13,
+                                      out);
+                    g_sink += static_cast<float>(out[0] + out[12]);
                 }
         });
 

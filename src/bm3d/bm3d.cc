@@ -1,9 +1,12 @@
 #include "bm3d/bm3d.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -610,6 +613,259 @@ processTileCoarse(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     profile.addOps(bm_step, ops);
 }
 
+/** Position rows a ring fill transforms at once (DESIGN §15). */
+constexpr int kRingChunkRows = 8;
+
+/** Chunks a worker fills ahead of its own tile's need, per tile. */
+constexpr int kRingAheadPerTile = 2;
+
+/** Read range [lo, hi) of the position rows a tile row span can reach. */
+struct RowSpan
+{
+    int lo = 0;
+    int hi = 0;
+};
+
+RowSpan
+readRows(const std::vector<int> &ys, int y0, int y1, int half, int posY)
+{
+    return {std::max(0, ys[y0] - half),
+            std::min(posY, ys[y1 - 1] + half + 1)};
+}
+
+/**
+ * Resident rows of a stage-1 ring field (DESIGN §15): every position
+ * row one band reads plus the rows the next lookahead bands add,
+ * rounded up by a chunk. One band of lookahead lets band k+1's fills
+ * overwrite only rows band k-1 read, so they run while band k's tiles
+ * do; with fewer tiles per band than @p threads, the tiles in flight
+ * span more bands, and so does the lookahead. Clamped to the grid
+ * height: frames of few bands keep every row resident.
+ */
+int
+ringRows(const std::vector<parallel::TileBand> &bands,
+         const std::vector<int> &ys, int half, int posY, int threads)
+{
+    const int per_band = bands.front().lastTile - bands.front().firstTile;
+    const size_t lookahead =
+        static_cast<size_t>(std::max(1, (threads + per_band - 1) / per_band));
+    int rows = 0;
+    for (size_t b = 0; b < bands.size(); ++b) {
+        const parallel::TileBand &next =
+            bands[std::min(b + lookahead, bands.size() - 1)];
+        rows = std::max(
+            rows, readRows(ys, next.y0, next.y1, half, posY).hi -
+                      readRows(ys, bands[b].y0, bands[b].y1, half, posY).lo);
+    }
+    return std::min(posY, rows + kRingChunkRows - 1);
+}
+
+/**
+ * On-demand filler of a ring-resident DCT1 field inside one ordered
+ * stage-1 batch (DESIGN §15). Position rows are transformed in
+ * kRingChunkRows chunks, claimed in ascending order by the workers
+ * whose tiles need them:
+ *
+ *  - acquire(t) returns once every row tile t reads is filled. While
+ *    rows are missing the worker claims and fills the next unclaimed
+ *    chunk itself, and waits only for chunks another worker is
+ *    filling (timed as fillWaitNs). With its rows ready it fills up
+ *    to kRingAheadPerTile chunks of the next band first, when their
+ *    ring slots are already free.
+ *  - A chunk overwrites the slots of rows ring-rows earlier. It may
+ *    start only when every tile reading those rows has merged, which
+ *    the runner's in-order merge cursor reports through merged(); a
+ *    needed chunk waits for that (timed as stallNs), a chunk filled
+ *    ahead never does.
+ *
+ * Tiles are claimed in ascending order, and the ring holds a tile's
+ * read span plus a chunk, so every tile a release waits on has
+ * already started and needs only lower chunks: the schedule cannot
+ * deadlock. Each position's coefficients depend only on the plane, so
+ * the field a tile reads is bitwise the whole-frame field.
+ */
+class RingFill
+{
+  public:
+    RingFill(DctPatchField &field, const image::ImageF &noisy,
+             const transforms::Dct2D &dct, const Bm3dConfig &cfg,
+             const std::vector<parallel::Tile> &tiles,
+             const std::vector<parallel::TileBand> &bands,
+             const std::vector<int> &ys, int half)
+        : field_(field), noisy_(noisy), dct_(dct), cfg_(cfg),
+          threshold_(cfg.lambda2d * cfg.sigma),
+          chunks_((field.positionsY() + kRingChunkRows - 1) /
+                  kRingChunkRows),
+          done_(static_cast<size_t>(chunks_), 0)
+    {
+        const int posY = field.positionsY();
+        const auto chunkOf = [](int rows) {
+            return (rows + kRingChunkRows - 1) / kRingChunkRows;
+        };
+        // Per tile: chunks its reads need, and chunks the first tile
+        // of the next band needs (the fill-ahead target).
+        std::vector<int> lo(tiles.size());
+        need_.resize(tiles.size());
+        ahead_.resize(tiles.size());
+        for (size_t b = 0; b < bands.size(); ++b) {
+            const parallel::TileBand &next =
+                bands[std::min(b + 1, bands.size() - 1)];
+            const int ahead = chunkOf(
+                readRows(ys, next.y0, next.y1, half, posY).hi);
+            for (int t = bands[b].firstTile; t < bands[b].lastTile; ++t) {
+                const RowSpan r =
+                    readRows(ys, tiles[t].y0, tiles[t].y1, half, posY);
+                lo[t] = r.lo;
+                need_[t] = chunkOf(r.hi);
+                ahead_[t] = std::max(need_[t], ahead);
+            }
+        }
+        // Per chunk: tiles that must merge before it may overwrite the
+        // slots of rows [first - ring, end - ring). Readers of those
+        // rows are the tiles with lo below end - ring, a prefix of the
+        // row-major tile order.
+        release_.resize(static_cast<size_t>(chunks_));
+        for (int c = 0; c < chunks_; ++c) {
+            const int end = std::min(posY, (c + 1) * kRingChunkRows);
+            const int oldest = end - field.ringRows();
+            release_[c] = static_cast<size_t>(
+                std::lower_bound(lo.begin(), lo.end(), oldest) -
+                lo.begin());
+        }
+    }
+
+    /** Make every row tile @p t reads resident (see class comment). */
+    void
+    acquire(size_t t, Profile &profile)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const int need = need_[t];
+        for (int n = 0; filled_ >= need && n < kRingAheadPerTile &&
+                        claimed_ < ahead_[t] && released(claimed_);
+             ++n)
+            fill(lock, profile);
+        while (filled_ < need) {
+            throwIfAborted();
+            if (claimed_ < need) {
+                if (!released(claimed_)) {
+                    const int c = claimed_++;
+                    stallNs_ += waitFor(lock, [&] { return released(c); });
+                    throwIfAborted();
+                    fillClaimed(lock, c, profile);
+                } else {
+                    fill(lock, profile);
+                }
+            } else if (claimed_ < chunks_ && released(claimed_)) {
+                // Every needed chunk is being filled by another worker:
+                // fill ahead rather than idle.
+                fill(lock, profile);
+            } else {
+                const int seen = filled_;
+                fillWaitNs_ += waitFor(lock, [&] {
+                    return filled_ != seen || aborted_ ||
+                           (claimed_ < chunks_ && released(claimed_));
+                });
+            }
+        }
+    }
+
+    /** Tiles [0, cursor) have merged: their rows may be overwritten. */
+    void
+    merged(size_t cursor)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        merged_ = cursor;
+        cv_.notify_all();
+    }
+
+    /** Wake every waiter with an error: a tile failed (or skipped). */
+    void
+    abort()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        aborted_ = true;
+        cv_.notify_all();
+    }
+
+    uint64_t fillWaitNs() const { return fillWaitNs_; }
+    uint64_t stallNs() const { return stallNs_; }
+
+  private:
+    bool released(int c) const { return merged_ >= release_[c]; }
+
+    void
+    throwIfAborted() const
+    {
+        if (aborted_)
+            throw std::runtime_error("Bm3d: ring stage aborted");
+    }
+
+    /// Wait on the ring's cv until @p ready; returns the nanoseconds.
+    template <typename Pred>
+    uint64_t
+    waitFor(std::unique_lock<std::mutex> &lock, Pred ready)
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        cv_.wait(lock, [&] { return aborted_ || ready(); });
+        return static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+    }
+
+    /// Claim and fill the next chunk (its slots must be released).
+    void
+    fill(std::unique_lock<std::mutex> &lock, Profile &profile)
+    {
+        fillClaimed(lock, claimed_++, profile);
+    }
+
+    void
+    fillClaimed(std::unique_lock<std::mutex> &lock, int c,
+                Profile &profile)
+    {
+        lock.unlock();
+        {
+            const int y0 = c * kRingChunkRows;
+            const int y1 = y0 + kRingChunkRows; // clamped by fillRows
+            ScopedTimer timer(profile, Step::Dct1);
+            OpCounters ops;
+            const uint64_t n = field_.fillRows(noisy_, dct_, threshold_,
+                                               cfg_.fixedPoint, y0, y1);
+            if (field_.hasInt16())
+                field_.fillRowsI16(noisy_, dct_, threshold_, y0, y1);
+            DctPatchField::countOps(n, cfg_.patchSize, threshold_ > 0.0f,
+                                    &ops);
+            profile.addOps(Step::Dct1, ops);
+        }
+        lock.lock();
+        done_[c] = 1;
+        while (filled_ < chunks_ && done_[filled_])
+            ++filled_;
+        cv_.notify_all();
+    }
+
+    DctPatchField &field_;
+    const image::ImageF &noisy_;
+    const transforms::Dct2D &dct_;
+    const Bm3dConfig &cfg_;
+    float threshold_;
+    int chunks_;
+    std::vector<int> need_;      ///< per tile: chunks its reads need
+    std::vector<int> ahead_;     ///< per tile: fill-ahead target
+    std::vector<size_t> release_; ///< per chunk: merges before fill
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::vector<uint8_t> done_; ///< per chunk: rows filled
+    int claimed_ = 0;           ///< chunks [0, claimed_) claimed
+    int filled_ = 0;            ///< chunks [0, filled_) all filled
+    size_t merged_ = 0;         ///< tiles [0, merged_) merged
+    bool aborted_ = false;
+    uint64_t fillWaitNs_ = 0;
+    uint64_t stallNs_ = 0;
+};
+
 /**
  * Tiled work-stealing runner for one BM3D stage.
  *
@@ -669,6 +925,7 @@ class StageRunner
 
     const std::vector<int> &xs() const { return xs_; }
     const std::vector<int> &ys() const { return ys_; }
+    const std::vector<parallel::Tile> &tiles() const { return tiles_; }
     size_t tileCount() const { return tiles_.size(); }
 
     /** The merged accumulator (the band pipeline normalizes finished
@@ -684,53 +941,30 @@ class StageRunner
      * memory stays bounded by the out-of-order window while the
      * addition tree stays identical for every thread count and every
      * banding of the ranges.
+     *
+     * With @p ring (the whole range of a ring-field stage), tiles are
+     * claimed in ascending order, each first acquires its rows from
+     * the ring, and every merge reports the cursor back to it.
      */
     void
-    runTileRange(size_t first, size_t last)
+    runTileRange(size_t first, size_t last, RingFill *ring = nullptr)
     {
         const int count = static_cast<int>(last - first);
         if (count <= 0)
             return;
         parallel::ThreadPool::global().run(
-            count, std::min(threads_, count), [&](int i, int slot) {
-                const size_t ti = first + i;
-                WorkerScratch &ws = workers_[slot];
-                if (!ws.engine) {
-                    ws.engine.emplace(cfg_, stage_, noisy_, basic_,
-                                      field_, &ws.profile, opts_.arena);
+            count, std::min(threads_, count),
+            [&](int i, int slot) {
+                try {
+                    runTile(first + i, slot, ring);
+                } catch (...) {
+                    if (ring != nullptr)
+                        ring->abort(); // release every waiter
+                    throw;
                 }
-                const parallel::Tile &tile = tiles_[ti];
-                // Halo-expanded patch positions this tile's stacks can
-                // reach; the pixel footprint extends patchSize past
-                // the last position.
-                const parallel::Region r = parallel::expandTile(
-                    tile, xs_, ys_, half_, domain_.positionsX() - 1,
-                    domain_.positionsY() - 1);
-                Aggregator agg(r.x0, r.y0, r.x1 + cfg_.patchSize - r.x0,
-                               r.y1 + cfg_.patchSize - r.y0,
-                               noisy_.channels());
-                ws.engine->prepareTile(r.x0, r.y0, r.x1, r.y1);
-                if (cfg_.variant.coarseToFine) {
-                    processTileCoarse(cfg_, stage_, domain_, matcher_,
-                                      xs_, ys_, tile, *ws.engine, agg,
-                                      ws.profile, ws.coarseLists,
-                                      ws.coarseSearched, opts_.seed);
-                } else {
-                    processTile(cfg_, stage_, domain_, matcher_, xs_,
-                                ys_, tile, *ws.engine, agg, ws.profile,
-                                ws.rowAbove, opts_.seed,
-                                bandScan_ ? &ws.bandScan : nullptr);
-                }
-
-                std::lock_guard<std::mutex> lock(mergeMutex_);
-                pending_[ti].emplace(std::move(agg));
-                while (mergeCursor_ < pending_.size() &&
-                       pending_[mergeCursor_]) {
-                    total_.merge(*pending_[mergeCursor_]);
-                    pending_[mergeCursor_].reset();
-                    ++mergeCursor_;
-                }
-            });
+            },
+            ring != nullptr ? parallel::Claim::Ordered
+                            : parallel::Claim::Stealing);
     }
 
     /**
@@ -776,6 +1010,48 @@ class StageRunner
     }
 
   private:
+    void
+    runTile(size_t ti, int slot, RingFill *ring)
+    {
+        WorkerScratch &ws = workers_[slot];
+        if (!ws.engine) {
+            ws.engine.emplace(cfg_, stage_, noisy_, basic_, field_,
+                              &ws.profile, opts_.arena);
+        }
+        if (ring != nullptr)
+            ring->acquire(ti, ws.profile);
+        const parallel::Tile &tile = tiles_[ti];
+        // Halo-expanded patch positions this tile's stacks can reach;
+        // the pixel footprint extends patchSize past the last position.
+        const parallel::Region r = parallel::expandTile(
+            tile, xs_, ys_, half_, domain_.positionsX() - 1,
+            domain_.positionsY() - 1);
+        Aggregator agg(r.x0, r.y0, r.x1 + cfg_.patchSize - r.x0,
+                       r.y1 + cfg_.patchSize - r.y0, noisy_.channels());
+        ws.engine->prepareTile(r.x0, r.y0, r.x1, r.y1);
+        if (cfg_.variant.coarseToFine) {
+            processTileCoarse(cfg_, stage_, domain_, matcher_, xs_, ys_,
+                              tile, *ws.engine, agg, ws.profile,
+                              ws.coarseLists, ws.coarseSearched,
+                              opts_.seed);
+        } else {
+            processTile(cfg_, stage_, domain_, matcher_, xs_, ys_, tile,
+                        *ws.engine, agg, ws.profile, ws.rowAbove,
+                        opts_.seed, bandScan_ ? &ws.bandScan : nullptr);
+        }
+
+        std::lock_guard<std::mutex> lock(mergeMutex_);
+        pending_[ti].emplace(std::move(agg));
+        const size_t before = mergeCursor_;
+        while (mergeCursor_ < pending_.size() && pending_[mergeCursor_]) {
+            total_.merge(*pending_[mergeCursor_]);
+            pending_[mergeCursor_].reset();
+            ++mergeCursor_;
+        }
+        if (ring != nullptr && mergeCursor_ != before)
+            ring->merged(mergeCursor_);
+    }
+
     const Bm3dConfig &cfg_;
     Stage stage_;
     const Domain &domain_;
@@ -800,9 +1076,8 @@ class StageRunner
 /**
  * One stage, stage-major or (cfg.band.enabled) in within-stage row
  * bands: consecutive tile-row ranges run to completion one after the
- * other — the order the streaming prepass fills the field in, keeping
- * each band's matching working set hot — with identical output either
- * way (see StageRunner::runTileRange).
+ * other, keeping each band's matching working set hot, with identical
+ * output either way (see StageRunner::runTileRange).
  */
 template <typename Domain>
 image::ImageF
@@ -827,6 +1102,45 @@ runStageWithDomain(const Bm3dConfig &cfg, Stage stage, const Domain &domain,
     } else {
         runner.runTileRange(0, runner.tileCount());
     }
+    runner.finishStats(profile);
+    return runner.finalize();
+}
+
+/**
+ * Stage 1 over the caller's persistent ring field (DESIGN §15): the
+ * ring is re-prepared for this frame through the caller's arena (a
+ * pure hit once warm), then one ordered batch fills its rows while
+ * the tiles run (RingFill). The waits add to the ring's totals.
+ */
+template <typename Domain>
+image::ImageF
+runRingStage(const Bm3dConfig &cfg, const image::ImageF &noisy,
+             RingField &ring, Profile &profile, const StageOptions &opts)
+{
+    const int ps = cfg.patchSize;
+    const int posY = noisy.height() - ps + 1;
+    transforms::Dct2D dct(ps);
+    const int half = (cfg.searchWindow1 - 1) / 2;
+    const std::vector<int> xs =
+        makeRefPositions(noisy.width() - ps, cfg.refStride);
+    const std::vector<int> ys = makeRefPositions(posY - 1, cfg.refStride);
+    const std::vector<parallel::TileBand> bands = parallel::makeTileBands(
+        static_cast<int>(xs.size()), static_cast<int>(ys.size()),
+        cfg.tileGrain, cfg.band.rows);
+    ring.field.prepare(
+        noisy.width(), noisy.height(), dct, opts.arena,
+        ringRows(bands, ys, half, posY,
+                 parallel::clampThreads(cfg.numThreads)));
+    if constexpr (std::is_same_v<Domain, DctMatchDomainI16>)
+        ring.field.prepareI16();
+    Domain domain(ring.field);
+    StageRunner<Domain> runner(cfg, Stage::HardThreshold, domain, noisy,
+                               nullptr, &ring.field, opts);
+    RingFill fill(ring.field, noisy, dct, cfg, runner.tiles(), bands, ys,
+                  half);
+    runner.runTileRange(0, runner.tileCount(), &fill);
+    ring.fillWaitNs += fill.fillWaitNs();
+    ring.stallNs += fill.stallNs();
     runner.finishStats(profile);
     return runner.finalize();
 }
@@ -862,7 +1176,6 @@ runBandedPipeline(const Bm3dConfig &cfg, const image::ImageF &noisy)
     const int ps = cfg.patchSize;
     const int posY = h - ps + 1;
     transforms::Dct2D dct(ps);
-    image::ImageF plane0 = noisy.extractPlane(0);
 
     // Both stages share one reference grid (the matching domains cover
     // the same position range), hence one band partition.
@@ -923,12 +1236,12 @@ runBandedPipeline(const Bm3dConfig &cfg, const image::ImageF &noisy)
         if (need > filled) {
             ScopedTimer timer(profile, Step::Dct1);
             OpCounters ops;
-            const uint64_t n = field.fillRows(plane0, dct, tht,
+            const uint64_t n = field.fillRows(noisy, dct, tht,
                                               cfg.fixedPoint, filled,
                                               need);
             DctPatchField::countOps(n, ps, tht > 0.0f, &ops);
             if constexpr (kInt16)
-                field.fillRowsI16(plane0, dct, tht, filled, need);
+                field.fillRowsI16(noisy, dct, tht, filled, need);
             profile.addOps(Step::Dct1, ops);
             rows_filled += static_cast<uint64_t>(need - filled);
             filled = need;
@@ -1049,8 +1362,16 @@ Bm3d::runStage(Stage stage, const image::ImageF &noisy,
                          "bm3d");
     transforms::Dct2D dct(config_.patchSize);
     if (stage == Stage::HardThreshold) {
+        if (opts.ring != nullptr) {
+            if (config_.precision == Precision::Int16) {
+                return runRingStage<DctMatchDomainI16>(
+                    config_, noisy, *opts.ring, profile, opts);
+            }
+            return runRingStage<DctMatchDomain>(config_, noisy,
+                                                *opts.ring, profile, opts);
+        }
         if (opts.field != nullptr) {
-            // Streaming runtime: the prepass already computed DCT1 on
+            // Service runtime: the prepass already computed DCT1 on
             // another thread (overlapping the previous frame's
             // stage 2), and accounts its time/ops itself.
             if (config_.precision == Precision::Int16 &&
@@ -1070,15 +1391,14 @@ Bm3d::runStage(Stage stage, const image::ImageF &noisy,
         {
             ScopedTimer timer(profile, Step::Dct1);
             OpCounters ops;
-            image::ImageF plane0 = noisy.extractPlane(0);
-            field.build(plane0, dct, config_.lambda2d * config_.sigma,
+            field.build(noisy, dct, config_.lambda2d * config_.sigma,
                         config_.fixedPoint, &ops, opts.arena);
             if (config_.precision == Precision::Int16) {
                 // Int16 matching planes in addition to the float field:
                 // DE1 still reads the float raw coefficients (Path C),
                 // only BM1's SSD datapath is quantized.
                 field.prepareI16();
-                field.fillRowsI16(plane0, dct,
+                field.fillRowsI16(noisy, dct,
                                   config_.lambda2d * config_.sigma, 0,
                                   field.positionsY());
             }

@@ -24,6 +24,7 @@ class BufferArena;
 namespace bm3d {
 
 class DctPatchField;
+struct RingField;
 struct TemporalSeed;
 
 /**
@@ -37,12 +38,23 @@ struct StageOptions
 {
     /**
      * Prebuilt channel-0 DCT field for the hard-threshold stage (the
-     * streaming prepass computes it on a different thread, overlapping
+     * service prepass computes it on a different thread, overlapping
      * the previous frame's stage-2/aggregation). When set, runStage
      * skips its own DCT1 pass; the caller keeps the field alive and
      * accounts its Dct1 time/ops.
      */
     const DctPatchField *field = nullptr;
+
+    /**
+     * Persistent ring-resident DCT1 field for the hard-threshold stage
+     * (DESIGN §15), owned by the caller across calls and recycled
+     * through `arena`. runStage sizes it to a band plus lookahead and
+     * fills its rows from channel 0 on demand inside the stage's one
+     * ordered tile batch, so no whole-frame field exists; Dct1
+     * time/ops land in the stage profile and the schedule's waits in
+     * the ring's totals. Takes precedence over `field`.
+     */
+    RingField *ring = nullptr;
 
     /// Recycle the large per-call buffers (aggregator planes, tile
     /// caches, output image, Wiener matching plane) through this arena.

@@ -156,7 +156,9 @@ struct BandConfig
      * whole tile rows (the merge-order unit), so the effective height
      * is a multiple of tileGrain covering at least this many rows; the
      * trailing band takes whatever is left. The field ring is sized to
-     * one band plus the BM1 search halo.
+     * one band plus the BM1 search halo. A ring stage (the streaming
+     * runtime's stage 1, StageOptions::ring) reads this even when the
+     * schedule is off: its ring adds one band of fill lookahead.
      */
     int rows = 64;
 };

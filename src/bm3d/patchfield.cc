@@ -123,8 +123,6 @@ DctPatchField::fillRows(
     const std::optional<fixed::PipelineFormats> &fixed_point, int y0,
     int y1)
 {
-    if (plane.channels() != 1)
-        throw std::invalid_argument("DctPatchField: expected 1 channel");
     if (plane.width() - patchSize_ + 1 != posX_ ||
         plane.height() - patchSize_ + 1 != posY_) {
         throw std::invalid_argument("DctPatchField: plane/prepare mismatch");
@@ -203,8 +201,6 @@ DctPatchField::fillRowsI16(const image::ImageF &plane,
                            const transforms::Dct2D &dct, float threshold,
                            int y0, int y1)
 {
-    if (plane.channels() != 1)
-        throw std::invalid_argument("DctPatchField: expected 1 channel");
     if (plane.width() - patchSize_ + 1 != posX_ ||
         plane.height() - patchSize_ + 1 != posY_)
         throw std::invalid_argument("DctPatchField: plane/prepare mismatch");

@@ -50,7 +50,7 @@ class DctPatchField
     /**
      * Compute the field.
      *
-     * @param plane       single-channel image
+     * @param plane       image whose channel 0 is transformed
      * @param dct         transform for the configured patch size
      * @param threshold   Tht; coefficients with |c| < Tht are zeroed in
      *                    the matching copy. 0 disables thresholding (the
@@ -99,7 +99,9 @@ class DctPatchField
 
     /**
      * Compute the coefficients of position rows [y0, y1) of a prepared
-     * field. Disjoint row bands are independent, so callers may fill
+     * field from channel 0 of @p plane (other channels are ignored, so
+     * a color frame needs no plane copy). Disjoint row bands are
+     * independent, so callers may fill
      * them from parallel tasks; the result is bitwise identical to any
      * other banding (each position's values depend only on the plane).
      * @return the number of patches transformed (for op accounting)
@@ -183,7 +185,8 @@ class DctPatchField
     void prepareI16();
 
     /**
-     * Quantized twin of fillRows() over position rows [y0, y1): pixel
+     * Quantized twin of fillRows() over position rows [y0, y1) of
+     * channel 0 of @p plane: pixel
      * rows are quantized to the plan's Q8.6 and transformed with the
      * int16 folded DCT + saturating hard threshold, scattered into
      * int16 SoA planes. Runs in addition to fillRows() (the float
@@ -272,6 +275,21 @@ class DctPatchField
     std::vector<const int16_t *> matchPlanesI16_;
     std::vector<int16_t> matchPairsI16_; ///< pair-interleaved planes
     std::vector<const int16_t *> matchPairPlanesI16_;
+};
+
+/**
+ * Caller-owned state of ring-resident stage-1 runs (StageOptions::ring,
+ * DESIGN §15): the persistent ring field and the schedule's cumulative
+ * waits, in nanoseconds summed over workers. Wait times depend on
+ * thread timing, never on the output.
+ */
+struct RingField
+{
+    DctPatchField field;
+    /// Tiles waiting for rows another worker is filling.
+    uint64_t fillWaitNs = 0;
+    /// Fills waiting for the tiles that read their ring slots to merge.
+    uint64_t stallNs = 0;
 };
 
 /**

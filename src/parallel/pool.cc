@@ -50,10 +50,14 @@ struct ThreadPool::Batch
         std::deque<int> items;
     };
 
-    Batch(int count, int executors, std::function<void(int, int)> body)
-        : fn(std::move(body)), parallelism(executors), remaining(count)
+    Batch(int count, int executors, std::function<void(int, int)> body,
+          Claim how)
+        : fn(std::move(body)), parallelism(executors), claim(how),
+          taskCount(count), remaining(count)
     {
         deques = std::make_unique<WorkDeque[]>(parallelism);
+        if (claim == Claim::Ordered)
+            return; // the shared counter replaces the deques
         // Contiguous blocks per executor: task order within a block is
         // preserved, which keeps block matching cache-warm.
         for (int s = 0; s < parallelism; ++s) {
@@ -68,7 +72,10 @@ struct ThreadPool::Batch
 
     const std::function<void(int, int)> fn;
     const int parallelism;
+    const Claim claim;
+    const int taskCount;
     std::unique_ptr<WorkDeque[]> deques;
+    std::atomic<int> nextIndex{0}; ///< Claim::Ordered's shared counter
 
     std::atomic<int> nextSlot{1}; ///< slot 0 is the calling thread
     std::atomic<int> active{0};   ///< executors currently in workLoop
@@ -78,6 +85,18 @@ struct ThreadPool::Batch
     std::mutex doneMutex;
     std::condition_variable doneCv;
     std::exception_ptr error; ///< first exception, guarded by doneMutex
+
+    /// Claim the next task: the shared counter in ordered mode, else
+    /// the executor's own deque, then a victim's.
+    bool
+    take(int slot, int *index)
+    {
+        if (claim == Claim::Ordered) {
+            *index = nextIndex.fetch_add(1, std::memory_order_relaxed);
+            return *index < taskCount;
+        }
+        return popLocal(slot, index) || steal(slot, index);
+    }
 
     /// Pop from the back of the executor's own deque.
     bool
@@ -197,7 +216,7 @@ ThreadPool::workLoop(Batch &batch, int slot)
 {
     int index;
     for (;;) {
-        if (batch.popLocal(slot, &index) || batch.steal(slot, &index))
+        if (batch.take(slot, &index))
             executeTask(batch, index, slot);
         else
             break; // tasks cannot spawn tasks: empty deques are final
@@ -233,7 +252,7 @@ ThreadPool::workerMain()
 
 void
 ThreadPool::run(int count, int parallelism,
-                const std::function<void(int, int)> &fn)
+                const std::function<void(int, int)> &fn, Claim claim)
 {
     if (insideTask())
         throw std::logic_error(
@@ -242,7 +261,7 @@ ThreadPool::run(int count, int parallelism,
         return;
     const int p = std::max(1, std::min({clampThreads(parallelism), count}));
 
-    auto batch = std::make_shared<Batch>(count, p, fn);
+    auto batch = std::make_shared<Batch>(count, p, fn, claim);
     if (p > 1) {
         ensureWorkers(p - 1);
         {

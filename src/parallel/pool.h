@@ -17,6 +17,12 @@
  * The caller participates as executor 0, so a pool is usable even on
  * single-core hosts and a parallelism of 1 runs fully inline.
  *
+ * Claim::Ordered replaces the deques with one shared counter: every
+ * executor claims the lowest unclaimed index, so tasks start in
+ * ascending index order. Callers whose tasks wait on work owned by
+ * lower-indexed tasks (the ring-field stage of DESIGN §15) rely on
+ * it: every task such a wait depends on has already been claimed.
+ *
  * Determinism contract: *which* executor runs a task is not
  * deterministic, but the task set and each task's index are, so
  * callers that keep per-task (not per-executor) results and combine
@@ -54,6 +60,12 @@ int hardwareThreads();
  */
 int clampThreads(int requested);
 
+/** How a batch's executors claim task indices. */
+enum class Claim {
+    Stealing, ///< contiguous per-executor blocks plus work stealing
+    Ordered,  ///< one shared counter: indices start in ascending order
+};
+
 class ThreadPool
 {
   public:
@@ -84,7 +96,8 @@ class ThreadPool
      * tasks are skipped and the first exception is rethrown here.
      */
     void run(int count, int parallelism,
-             const std::function<void(int index, int slot)> &fn);
+             const std::function<void(int index, int slot)> &fn,
+             Claim claim = Claim::Stealing);
 
     /** True when the calling thread is inside a pool task. */
     static bool insideTask();

@@ -50,9 +50,10 @@ namespace runtime {
  * input frame while its caller also recycles the outputs — without
  * the free list growing by a frame per frame.
  *
- * Thread-safe; the streaming runtime calls it from the prepass and
- * driver threads concurrently (their buffer size classes are disjoint,
- * which keeps the hit/miss totals deterministic — see DESIGN §9).
+ * Thread-safe; the service runtime calls it from its prepass and
+ * dispatcher threads concurrently (their buffer size classes are
+ * disjoint, which keeps the hit/miss totals deterministic — see
+ * DESIGN §9 and §13).
  */
 class BufferArena
 {

@@ -44,16 +44,9 @@ StreamConfig::validate() const
 }
 
 StreamDenoiser::StreamDenoiser(StreamConfig config)
-    : config_(std::move(config)), bm3d_(config_.frame),
-      dct_(config_.frame.patchSize),
-      tht_(config_.frame.lambda2d * config_.frame.sigma)
+    : config_(std::move(config)), bm3d_(config_.frame)
 {
     config_.validate();
-    for (int i = 0; i < kSlots; ++i) {
-        slots_.push_back(std::make_unique<FieldSlot>());
-        freeSlots_.push_back(slots_.back().get());
-    }
-    prepass_ = std::thread(&StreamDenoiser::prepassMain, this);
     driver_ = std::thread(&StreamDenoiser::driverMain, this);
 }
 
@@ -132,8 +125,6 @@ StreamDenoiser::finish()
     }
     if (!joined_) {
         joined_ = true;
-        if (prepass_.joinable())
-            prepass_.join();
         if (driver_.joinable())
             driver_.join();
     }
@@ -157,6 +148,8 @@ StreamDenoiser::stats() const
         framesDone_ >= 2 ? a.bytesNew - steadyBaseline_ : 0;
     s.seedRefs = seedRefs_;
     s.seedHits = seedHits_;
+    s.fillWaitNs = fillWaitNs_;
+    s.ringStallNs = ringStallNs_;
     s.profile = profile_;
     return s;
 }
@@ -171,7 +164,7 @@ StreamDenoiser::fail(std::exception_ptr error)
 }
 
 void
-StreamDenoiser::prepassMain()
+StreamDenoiser::driverMain()
 {
     try {
         while (true) {
@@ -182,99 +175,12 @@ StreamDenoiser::prepassMain()
                     return error_ || !inputQueue_.empty() || inputClosed_;
                 });
                 if (error_)
-                    return;
+                    break;
                 if (inputQueue_.empty())
                     break; // input closed and drained
                 item = std::move(inputQueue_.front());
                 inputQueue_.pop_front();
                 cv_.notify_all(); // free a submit() slot
-            }
-            FieldSlot *slot = nullptr;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                cv_.wait(lock,
-                         [&] { return error_ || !freeSlots_.empty(); });
-                if (error_)
-                    return;
-                slot = freeSlots_.back();
-                freeSlots_.pop_back();
-            }
-            {
-                // DCT1 of frame t+1 overlaps the driver's stage work
-                // on frame t ("stream.prepass" span next to
-                // "stream.frame" in the trace). The plane copy and
-                // field storage are ensured in place, so a warm slot
-                // allocates nothing.
-                obs::Span span("stream.prepass", "stream");
-                slot->prepassProfile = bm3d::Profile();
-                bm3d::ScopedTimer timer(slot->prepassProfile,
-                                        bm3d::Step::Dct1);
-                if (slot->plane0.width() != item.frame.width() ||
-                    slot->plane0.height() != item.frame.height()) {
-                    slot->plane0 = image::ImageF(item.frame.width(),
-                                                 item.frame.height(), 1);
-                }
-                std::copy(item.frame.plane(0),
-                          item.frame.plane(0) + item.frame.planeSize(),
-                          slot->plane0.plane(0));
-                slot->field.prepare(item.frame.width(),
-                                    item.frame.height(), dct_, &arena_);
-                const uint64_t patches = slot->field.fillRows(
-                    slot->plane0, dct_, tht_, config_.frame.fixedPoint, 0,
-                    slot->field.positionsY());
-                if (config_.frame.precision == bm3d::Precision::Int16) {
-                    // Quantized matching planes alongside the float
-                    // field, so the stage below can pick the int16 SSD
-                    // datapath off the same slot.
-                    slot->field.prepareI16();
-                    slot->field.fillRowsI16(slot->plane0, dct_, tht_, 0,
-                                            slot->field.positionsY());
-                }
-                bm3d::OpCounters ops;
-                bm3d::DctPatchField::countOps(
-                    patches, config_.frame.patchSize, tht_ > 0.0f, &ops);
-                slot->prepassProfile.addOps(bm3d::Step::Dct1, ops);
-            }
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                cv_.wait(lock,
-                         [&] { return error_ || midQueue_.empty(); });
-                if (error_) {
-                    freeSlots_.push_back(slot);
-                    cv_.notify_all();
-                    return;
-                }
-                midQueue_.push_back(MidItem{std::move(item.frame), slot,
-                                            item.enqueued});
-                cv_.notify_all();
-            }
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        prepassDone_ = true;
-        cv_.notify_all();
-    } catch (...) {
-        fail(std::current_exception());
-    }
-}
-
-void
-StreamDenoiser::driverMain()
-{
-    try {
-        while (true) {
-            MidItem item;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                cv_.wait(lock, [&] {
-                    return error_ || !midQueue_.empty() || prepassDone_;
-                });
-                if (error_)
-                    break;
-                if (midQueue_.empty())
-                    break; // prepass finished and queue drained
-                item = std::move(midQueue_.front());
-                midQueue_.pop_front();
-                cv_.notify_all(); // free the mid slot for the prepass
             }
             processFrame(std::move(item));
         }
@@ -294,30 +200,31 @@ StreamDenoiser::driverMain()
 }
 
 void
-StreamDenoiser::processFrame(MidItem item)
+StreamDenoiser::processFrame(InputItem item)
 {
     obs::Span frame_span("stream.frame", "stream", "index",
                          static_cast<double>(frameIndex_));
     bm3d::Profile frame_profile;
-    // Merge the prepass accounting before the slot can be recycled.
-    frame_profile += item.slot->prepassProfile;
 
+    // Stage 1 fills the persistent ring field on demand inside its
+    // tile batch (DESIGN §15): no whole-frame field, no prepass.
     bm3d::StageOptions s1;
-    s1.field = &item.slot->field;
+    s1.ring = &ring_;
     s1.arena = &arena_;
     bm3d::TemporalSeed seed;
     if (config_.temporalSeed) {
-        const bm3d::DctPatchField &f = item.slot->field;
-        const int nx =
-            refCount(f.positionsX() - 1, config_.frame.refStride);
-        const int ny =
-            refCount(f.positionsY() - 1, config_.frame.refStride);
+        const int ps = config_.frame.patchSize;
+        const int coefs = ps * ps;
+        const int nx = refCount(item.frame.width() - ps,
+                                config_.frame.refStride);
+        const int ny = refCount(item.frame.height() - ps,
+                                config_.frame.refStride);
         bm3d::SeedStore &cur = seedStores_[frameIndex_ % 2];
         bm3d::SeedStore &prev = seedStores_[(frameIndex_ + 1) % 2];
-        cur.reset(nx, ny, f.coefs(), config_.frame.maxMatches);
+        cur.reset(nx, ny, coefs, config_.frame.maxMatches);
         seed.current = &cur;
         seed.previous = (frameIndex_ > 0 &&
-                         prev.matches(nx, ny, f.coefs(),
+                         prev.matches(nx, ny, coefs,
                                       config_.frame.maxMatches))
                             ? &prev
                             : nullptr;
@@ -331,13 +238,6 @@ StreamDenoiser::processFrame(MidItem item)
     image::ImageF basic = bm3d_.runStage(
         bm3d::Stage::HardThreshold, item.frame, nullptr, frame_profile,
         s1);
-    {
-        // The field is consumed; hand the slot back so the prepass can
-        // start on the frame after next.
-        std::lock_guard<std::mutex> lock(mutex_);
-        freeSlots_.push_back(item.slot);
-        cv_.notify_all();
-    }
 
     image::ImageF output;
     if (config_.frame.enableWiener) {
@@ -364,6 +264,13 @@ StreamDenoiser::processFrame(MidItem item)
             seedRefs_ += seed.refs.load(std::memory_order_relaxed);
             seedHits_ += seed.hits.load(std::memory_order_relaxed);
         }
+        fillWaitNs_ = ring_.fillWaitNs;
+        ringStallNs_ = ring_.stallNs;
+        // The schedule's stalls, live for operators; timing-dependent,
+        // so gauges rather than gated counters.
+        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+        reg.set("stream.fill.waitNs", static_cast<double>(fillWaitNs_));
+        reg.set("stream.ring.stallNs", static_cast<double>(ringStallNs_));
         ++framesDone_;
         // From here on the arena must not allocate: remember the
         // baseline the steady-state counter is measured against.

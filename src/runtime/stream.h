@@ -10,10 +10,11 @@
  *  - a bounded, in-order submit()/collect() frame queue (submit blocks
  *    when queueDepth frames are waiting: backpressure toward the
  *    producer);
- *  - a DCT1 prepass thread that computes frame t+1's patch field while
- *    the driver thread runs frame t's matching/denoising stages
- *    (cross-frame stage overlap, visible as "stream.prepass" /
- *    "stream.frame" spans in the Chrome trace);
+ *  - a ring-resident DCT1 field (DESIGN §15): stage 1 of every frame
+ *    runs as one ordered pool batch whose workers fill the ring's
+ *    patch rows on demand, a band ahead of the tiles that read them,
+ *    so no whole-frame coefficient field is ever resident (the ring
+ *    is ~4x smaller at 1080p);
  *  - one BufferArena recycling every large per-frame buffer, so the
  *    steady state performs no heap allocation (proven by the
  *    arena.bytesNew counter staying flat from frame 3 on);
@@ -32,7 +33,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,7 +43,6 @@
 #include "bm3d/seeding.h"
 #include "image/image.h"
 #include "runtime/arena.h"
-#include "transforms/dct.h"
 
 namespace ideal {
 namespace runtime {
@@ -55,8 +54,7 @@ struct StreamConfig
     bm3d::Bm3dConfig frame;
 
     /// Maximum frames waiting in the input queue before submit()
-    /// blocks. (The prepass and driver hold up to one frame each on
-    /// top of this.)
+    /// blocks. (One more frame is in process on top of this.)
     int queueDepth = 3;
 
     /// Seed frame t's BM1 with frame t-1's match lists. Changes which
@@ -96,18 +94,26 @@ struct StreamStats
     uint64_t seedRefs = 0; ///< references where seeding was attempted
     uint64_t seedHits = 0; ///< references served by the seeded search
 
-    bm3d::Profile profile; ///< per-step accounting, frames merged in order
+    /// Stage-1 tiles waiting for ring rows another worker is filling,
+    /// summed over workers (also the `stream.fill.waitNs` gauge).
+    uint64_t fillWaitNs = 0;
+    /// Ring fills waiting for the tiles that read their slots to merge,
+    /// summed over workers (also the `stream.ring.stallNs` gauge).
+    uint64_t ringStallNs = 0;
+
+    /// Per-step accounting, frames merged in order. Dct1 is the ring
+    /// fills' thread-summed time inside the stage-1 batches.
+    bm3d::Profile profile;
 };
 
 /**
  * Pipelined video denoiser over the per-frame Bm3d engine.
  *
  * Threading model: submit()/collect() are called by the user (from one
- * or more threads); internally one prepass thread computes DCT1 fields
- * and one driver thread runs the BM3D stages (the driver is the only
- * thread that dispatches to the global ThreadPool, so nested-run
- * restrictions never trigger). Frames come out of collect() in submit
- * order.
+ * or more threads); internally one stage thread runs the BM3D stages
+ * of each frame in turn (it is the only thread that dispatches to the
+ * global ThreadPool, so nested-run restrictions never trigger). Frames
+ * come out of collect() in submit order.
  *
  * Lifecycle: submit each frame, call finish(), collect every output
  * (collect may also be called concurrently with submission — the
@@ -167,41 +173,13 @@ class StreamDenoiser
         std::chrono::steady_clock::time_point enqueued;
     };
 
-    /**
-     * Persistent prepass workspace: the matching plane copy and the
-     * DCT1 field of one in-flight frame. Two slots ping-pong between
-     * the prepass (building t+1) and the driver (matching t), and
-     * their arena-backed storage is ensured in place, so from frame 3
-     * on the prepass allocates nothing.
-     */
-    struct FieldSlot
-    {
-        image::ImageF plane0;
-        bm3d::DctPatchField field;
-        bm3d::Profile prepassProfile;
-    };
-
-    /// A frame whose DCT1 field is ready for the driver.
-    struct MidItem
-    {
-        image::ImageF frame;
-        FieldSlot *slot = nullptr;
-        std::chrono::steady_clock::time_point enqueued;
-    };
-
-    void prepassMain();
     void driverMain();
-    void processFrame(MidItem item);
+    void processFrame(InputItem item);
     void fail(std::exception_ptr error);
 
     StreamConfig config_;
     bm3d::Bm3d bm3d_;
-    transforms::Dct2D dct_;
-    float tht_; ///< DCT1 hard threshold (lambda2d * sigma)
     BufferArena arena_;
-
-    static constexpr int kSlots = 2; ///< prepass + driver, ping-pong
-    std::vector<std::unique_ptr<FieldSlot>> slots_;
 
     /// One mutex + one cv guard every queue and flag below: state
     /// changes are per-frame, so contention is negligible, and a
@@ -211,11 +189,8 @@ class StreamDenoiser
     std::condition_variable cv_;
 
     std::deque<InputItem> inputQueue_;       ///< bounded by queueDepth
-    std::deque<MidItem> midQueue_;           ///< bounded to 1
-    std::vector<FieldSlot *> freeSlots_;
     std::deque<image::ImageF> outputQueue_;  ///< unbounded, see class doc
     bool inputClosed_ = false;
-    bool prepassDone_ = false; ///< prepass drained its side of the queue
     bool outputClosed_ = false;
     std::exception_ptr error_;
 
@@ -230,13 +205,16 @@ class StreamDenoiser
     std::vector<double> latenciesMs_;
     uint64_t seedRefs_ = 0;
     uint64_t seedHits_ = 0;
+    uint64_t fillWaitNs_ = 0;
+    uint64_t ringStallNs_ = 0;
     bm3d::Profile profile_;
 
-    // Driver-thread-only seeding state (no locking needed).
+    // Stage-thread-only state (no locking needed): the stage-1 ring
+    // field, allocated once through arena_, and the seed ping-pong.
+    bm3d::RingField ring_;
     bm3d::SeedStore seedStores_[2]; ///< ping-pong: read t-1, write t
     uint64_t frameIndex_ = 0;
 
-    std::thread prepass_;
     std::thread driver_;
     bool joined_ = false;
 };

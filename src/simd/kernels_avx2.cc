@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 
 namespace ideal {
 namespace simd {
@@ -585,16 +586,6 @@ ssdSoaI16(const int16_t *const *pa, size_t off_a, const int16_t *const *pb,
     return static_cast<int32_t>(acc);
 }
 
-inline int32_t
-ssdSoaOneI16(const int16_t *ref, const int16_t *const *planes, size_t off,
-             int len)
-{
-    uint32_t acc = 0;
-    for (int k = 0; k < len; ++k)
-        acc += sqI16(diffI16(ref[k], planes[k][off]));
-    return static_cast<int32_t>(acc);
-}
-
 void
 ssdSoaBatchI16(const int16_t *ref, const int16_t *const *planes,
                size_t off, int len, int count, int32_t *out)
@@ -640,36 +631,65 @@ ssdSoaBatchI16(const int16_t *ref, const int16_t *const *planes,
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), out0);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + 8), out1);
     };
+    // Eight candidates per pass, for runs of 8-15 (window-13 rows):
+    // the same interleave on 128-bit loads, the two halves joined into
+    // one register, so the madd lanes come out linear.
+    const auto block8 = [&](const int16_t *const *src, size_t o,
+                            int32_t *dst) {
+        __m256i acc = _mm256_setzero_si256();
+        int k = 0;
+        for (; k + 2 <= len; k += 2) {
+            const __m128i dk = _mm_sub_epi16(
+                _mm_set1_epi16(ref[k]),
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(src[k] + o)));
+            const __m128i dk1 = _mm_sub_epi16(
+                _mm_set1_epi16(ref[k + 1]),
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(src[k + 1] + o)));
+            const __m256i d = _mm256_set_m128i(_mm_unpackhi_epi16(dk, dk1),
+                                               _mm_unpacklo_epi16(dk, dk1));
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
+        }
+        if (k < len) { // odd trailing coefficient: widen and square
+            const __m256i w = _mm256_cvtepi16_epi32(_mm_sub_epi16(
+                _mm_set1_epi16(ref[k]),
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(src[k] + o))));
+            acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(w, w));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), acc);
+    };
     int i = 0;
     for (; i + 16 <= count; i += 16)
         block16(off + static_cast<size_t>(i), out + i);
-    if (i < count) {
-        if (count >= 16) {
-            // Overlapped final pass: recompute the last full window of
-            // 16 candidates instead of falling back to strided scalar
-            // gathers. SSDs are pure per-candidate functions, so the
-            // overlapping lanes just rewrite identical values.
-            block16(off + static_cast<size_t>(count - 16),
-                    out + (count - 16));
-        } else {
-            for (; i < count; ++i)
-                out[i] = ssdSoaOneI16(ref, planes,
-                                      off + static_cast<size_t>(i), len);
+    if (i == count)
+        return;
+    if (count >= 16) {
+        // Overlapped final pass: recompute the last full window of 16
+        // candidates instead of falling back to strided scalar
+        // gathers. SSDs are pure per-candidate functions, so the
+        // overlapping lanes just rewrite identical values.
+        block16(off + static_cast<size_t>(count - 16), out + (count - 16));
+    } else if (count >= 8) {
+        block8(planes, off, out);
+        block8(planes, off + static_cast<size_t>(count - 8),
+               out + (count - 8)); // overlapped, as above
+    } else {
+        // Fewer than eight: copy the run into zero-padded 8-wide rows
+        // (a plane may end right after it, so no wide load may reach
+        // past) and keep the first count sums. len <= 64 coefs.
+        int16_t rows[64][8] = {};
+        const int16_t *row_ptrs[64];
+        for (int k = 0; k < len && k < 64; ++k) {
+            std::memcpy(rows[k], planes[k] + off,
+                        static_cast<size_t>(count) * sizeof(int16_t));
+            row_ptrs[k] = rows[k];
         }
+        int32_t sums[8];
+        block8(row_ptrs, 0, sums);
+        std::memcpy(out, sums, static_cast<size_t>(count) * sizeof(int32_t));
     }
-}
-
-inline int32_t
-ssdPairOneI16(const int16_t *ref, const int16_t *const *pair_planes,
-              size_t o2, int len)
-{
-    uint32_t acc = 0;
-    for (int p = 0; p + 2 <= len; p += 2) {
-        const int16_t *plane = pair_planes[p / 2];
-        acc += sqI16(diffI16(ref[p], plane[o2]));
-        acc += sqI16(diffI16(ref[p + 1], plane[o2 + 1]));
-    }
-    return static_cast<int32_t>(acc);
 }
 
 void
@@ -709,20 +729,41 @@ ssdPairBatchI16(const int16_t *ref, const int16_t *const *pair_planes,
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), acc0);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + 8), acc1);
     };
+    // Eight candidates per pass over the int32 pair lanes selected by
+    // @p mask: all eight for runs of 8-15 (window-13 rows), the first
+    // count below that. Masked-out lanes are neither loaded nor
+    // stored, so a short run never reads past its plane.
+    const auto block8 = [&](size_t o2, __m256i mask, int32_t *dst) {
+        __m256i acc = _mm256_setzero_si256();
+        for (int p = 0; p < pairs; ++p) {
+            const __m256i d = _mm256_sub_epi16(
+                rbc[p], _mm256_maskload_epi32(
+                            reinterpret_cast<const int *>(pair_planes[p] +
+                                                          o2),
+                            mask));
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
+        }
+        _mm256_maskstore_epi32(reinterpret_cast<int *>(dst), mask, acc);
+    };
     int i = 0;
     for (; i + 16 <= count; i += 16)
         block16(2 * (off + static_cast<size_t>(i)), out + i);
-    if (i < count) {
-        if (count >= 16) {
-            // Overlapped final pass (see ssdSoaBatchI16).
-            block16(2 * (off + static_cast<size_t>(count - 16)),
-                    out + (count - 16));
-        } else {
-            for (; i < count; ++i)
-                out[i] = ssdPairOneI16(
-                    ref, pair_planes,
-                    2 * (off + static_cast<size_t>(i)), len);
-        }
+    if (i == count)
+        return;
+    if (count >= 16) {
+        // Overlapped final pass (see ssdSoaBatchI16).
+        block16(2 * (off + static_cast<size_t>(count - 16)),
+                out + (count - 16));
+    } else if (count >= 8) {
+        const __m256i all = _mm256_set1_epi32(-1);
+        block8(2 * off, all, out);
+        block8(2 * (off + static_cast<size_t>(count - 8)), all,
+               out + (count - 8)); // overlapped, as above
+    } else {
+        const __m256i mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(count), _mm256_setr_epi32(0, 1, 2, 3, 4, 5,
+                                                        6, 7));
+        block8(2 * off, mask, out);
     }
 }
 

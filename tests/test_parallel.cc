@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -131,6 +135,37 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives)
     std::atomic<int> calls{0};
     ThreadPool::global().run(8, 4, [&](int, int) { ++calls; });
     EXPECT_EQ(calls.load(), 8);
+}
+
+// Claim::Ordered starts tasks in ascending index order, so a task may
+// wait on any lower-indexed task (the ring-field stage waits on rows
+// and merges of earlier tiles): here every task waits for its
+// predecessor to finish, which would stall under work stealing (an
+// executor pops the end of its block first) but always completes when
+// claims are ordered.
+TEST(ThreadPool, OrderedClaimLetsTasksWaitOnLowerIndices)
+{
+    for (int parallelism : {1, 2, 8}) {
+        const int count = 200;
+        std::mutex mu;
+        std::condition_variable cv;
+        std::vector<char> done(count, 0);
+        bool timed_out = false;
+        ThreadPool::global().run(
+            count, parallelism,
+            [&](int index, int) {
+                std::unique_lock<std::mutex> lock(mu);
+                if (index > 0 &&
+                    !cv.wait_for(lock, std::chrono::seconds(20),
+                                 [&] { return done[index - 1] != 0; }))
+                    timed_out = true;
+                done[index] = 1;
+                cv.notify_all();
+            },
+            parallel::Claim::Ordered);
+        EXPECT_FALSE(timed_out) << "parallelism " << parallelism;
+        EXPECT_EQ(std::count(done.begin(), done.end(), 1), count);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,8 @@
  * stream-vs-batch bitwise equality across SIMD levels and thread
  * counts, concurrent submit/collect under the sanitizers, temporal
  * seeding quality and work reduction, arena steady-state accounting,
- * lifecycle errors, and the video DCT1 prepass banding determinism.
+ * lifecycle errors, the stage-1 ring field (golden pins, footprint,
+ * schedule stress), and the video DCT1 prepass banding determinism.
  */
 
 #include <gtest/gtest.h>
@@ -19,12 +20,15 @@
 #include <vector>
 
 #include "bm3d/bm3d.h"
+#include "bm3d/patchfield.h"
 #include "bm3d/video.h"
 #include "image/metrics.h"
 #include "image/noise.h"
 #include "image/synthetic.h"
+#include "obs/metrics.h"
 #include "runtime/stream.h"
 #include "simd/simd.h"
+#include "transforms/dct.h"
 
 using namespace ideal;
 using runtime::StreamConfig;
@@ -579,6 +583,136 @@ TEST_F(RuntimeTest, SeededStreamGoldenPins)
                         << std::hex << "frame " << f << " 0x"
                         << hashImage(out[f]);
             }
+        }
+    }
+}
+
+// Golden hashes of a seeded two-stage stream whose frames span seven
+// tile-row bands (tileGrain 8, band.rows 8 on a 96x112 pan), so a
+// stage-1 ring field sized to a band plus lookahead wraps more than
+// twice per frame. Recorded with whole-frame DCT1 fields; every
+// precision, level and thread count must reproduce them, which pins
+// the ring's on-demand fills and releases against the old schedule.
+TEST_F(RuntimeTest, RingStreamGoldenPins)
+{
+    struct Pin
+    {
+        bm3d::Precision precision;
+        uint64_t frames[3];
+    };
+    const Pin pins[] = {
+        {bm3d::Precision::Float32,
+         {0x72dfca42e52f8af2ull, 0x95a65ef9f8cc2df6ull,
+          0x860121a1a1795abcull}},
+        {bm3d::Precision::Int16,
+         {0x7e7bef1fb5810e5cull, 0x94b6e138ba0b5ad4ull,
+          0x8f50914aba28b470ull}},
+    };
+    const image::ImageF scene =
+        image::makeScene(image::SceneKind::Street, 100, 112, 1, 127);
+    std::vector<image::ImageF> clip;
+    for (int f = 0; f < 3; ++f)
+        clip.push_back(image::addGaussianNoise(scene.crop(2 * f, 0, 96, 112),
+                                               25.0f, 128 + f));
+    for (const Pin &pin : pins) {
+        for (int l = 0; l <= static_cast<int>(simd::bestSupported());
+             ++l) {
+            simd::setLevel(static_cast<simd::Level>(l));
+            for (int threads : {1, 4}) {
+                StreamConfig cfg = smallStreamConfig(threads, true);
+                cfg.frame.precision = pin.precision;
+                cfg.frame.tileGrain = 8;
+                cfg.frame.band.rows = 8;
+                cfg.temporalSeed = true;
+                const auto out = streamOutputs(cfg, clip);
+                SCOPED_TRACE(testing::Message()
+                             << "precision="
+                             << static_cast<int>(pin.precision)
+                             << " level="
+                             << simd::toString(static_cast<simd::Level>(l))
+                             << " threads=" << threads);
+                for (int f = 0; f < 3; ++f)
+                    EXPECT_EQ(hashImage(out[f]), pin.frames[f])
+                        << std::hex << "frame " << f << " 0x"
+                        << hashImage(out[f]);
+            }
+        }
+    }
+}
+
+// The ring is the stream's only coefficient field: a frame of seven
+// bands keeps fewer resident bytes than one whole-frame field, and no
+// whole-frame field is built at all. Guards the stream's memory win.
+TEST_F(RuntimeTest, RingStreamKeepsBandBytesBelowWholeField)
+{
+    obs::MetricsRegistry::global().reset();
+    const auto clip = staticClip(3, 96, 112, 25.0f, 131);
+    StreamConfig cfg = smallStreamConfig(4, true);
+    cfg.frame.tileGrain = 8;
+    cfg.frame.band.rows = 8;
+    cfg.temporalSeed = true;
+    StreamStats stats;
+    streamOutputs(cfg, clip, &stats);
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    EXPECT_FALSE(snap.has("mem.peakFieldBytes"))
+        << "the stream built a whole-frame field";
+
+    bm3d::DctPatchField whole;
+    whole.prepare(96, 112, transforms::Dct2D(cfg.frame.patchSize));
+    const double band = snap.value("mem.peakBandBytes");
+    EXPECT_GT(band, 0.0);
+    EXPECT_LT(band, static_cast<double>(whole.footprintBytes()));
+    // The schedule's waits are published as gauges, outside the
+    // deterministic counter set.
+    EXPECT_EQ(snap.kind("stream.fill.waitNs"), obs::MetricKind::Gauge);
+    EXPECT_EQ(snap.kind("stream.ring.stallNs"), obs::MetricKind::Gauge);
+    EXPECT_EQ(snap.value("stream.fill.waitNs"),
+              static_cast<double>(stats.fillWaitNs));
+    EXPECT_EQ(snap.value("stream.ring.stallNs"),
+              static_cast<double>(stats.ringStallNs));
+    EXPECT_GT(stats.profile.seconds(bm3d::Step::Dct1), 0.0);
+}
+
+// Stresses the ring schedule's fill and release waits: one tile row
+// per band on a fine tile grid (17 bands of 2x2-reference tiles), so
+// fills run right behind the merge cursor; 1, 2 and 8 workers; a
+// producer thread racing the collector; both stages. A 4-row frame
+// (one position row) clamps the ring to the whole grid. Outputs must
+// equal the stage-major batch path. Runs under TSan via the sanitize
+// label: a fill overwriting rows a running tile reads is a race.
+TEST_F(RuntimeTest, RingScheduleStressIsOrderedAndRaceFree)
+{
+    struct Shape
+    {
+        int w, h, frames;
+    };
+    for (const Shape shape : {Shape{40, 36, 5}, Shape{40, 4, 3}}) {
+        const auto clip =
+            staticClip(shape.frames, shape.w, shape.h, 25.0f, 137);
+        for (int threads : {1, 2, 8}) {
+            StreamConfig cfg = smallStreamConfig(threads, true);
+            cfg.frame.refStride = 1;
+            cfg.frame.tileGrain = 2;
+            cfg.frame.band.rows = 2;
+            cfg.queueDepth = 2;
+            const auto batch = batchOutputs(cfg.frame, clip);
+            StreamDenoiser stream(cfg);
+            std::thread producer([&] {
+                for (const image::ImageF &frame : clip)
+                    stream.submit(image::ImageF(frame));
+                stream.finish();
+            });
+            for (size_t f = 0; f < clip.size(); ++f) {
+                image::ImageF out = stream.collect();
+                EXPECT_TRUE(out.raw() == batch[f].raw())
+                    << shape.w << "x" << shape.h << " threads " << threads
+                    << " frame " << f;
+                (void)stream.stats();
+                stream.recycle(std::move(out));
+            }
+            producer.join();
+            EXPECT_EQ(stream.stats().frames, clip.size());
         }
     }
 }

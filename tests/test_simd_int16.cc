@@ -358,6 +358,94 @@ TEST_F(SimdInt16, SsdPairBatchI16MatchesSoaBatchAcrossLevels)
     }
 }
 
+// Short window rows (1-33 candidates: edge-clamped rows, window 13,
+// one 16-wide pass plus a remainder) take the 8-wide overlapped and
+// masked passes. Planes end exactly at the run, so a wide load past
+// it shows under ASan, and sentinels past count catch stray stores.
+TEST_F(SimdInt16, ShortRunBatchesMatchScalarBitwise)
+{
+    Rng rng(607);
+    const size_t off = 5;
+    const int32_t kSentinel = 0x5a5a5a5a;
+    // Candidate planes: full-scale saturating raws, and alternating
+    // sign by position and coefficient (every madd pair at +-max).
+    const auto candidate = [&](int family, int k, size_t x) -> int16_t {
+        if (family == 0) {
+            const int pick = rng.uniform(0, 3);
+            return pick == 0   ? INT16_MAX
+                   : pick == 1 ? INT16_MIN
+                   : pick == 2 ? static_cast<int16_t>(INT16_MIN + 1)
+                               : static_cast<int16_t>(INT16_MAX - 1);
+        }
+        return ((x + static_cast<size_t>(k)) % 2 == 0) ? INT16_MAX
+                                                         : INT16_MIN;
+    };
+    for (int coefs : {16, 9}) {
+        const auto refs = int16Families(rng, coefs);
+        for (int count = 1; count <= 33; ++count) {
+            const size_t n = off + static_cast<size_t>(count);
+            for (int family = 0; family < 2; ++family) {
+                std::vector<std::vector<int16_t>> soa(coefs,
+                                                      std::vector<int16_t>(n));
+                std::vector<const int16_t *> soa_ptrs(coefs);
+                for (int k = 0; k < coefs; ++k) {
+                    for (size_t x = 0; x < n; ++x)
+                        soa[k][x] = candidate(family, k, x);
+                    soa_ptrs[k] = soa[k].data();
+                }
+                std::vector<std::vector<int16_t>> pairs(coefs / 2);
+                std::vector<const int16_t *> pair_ptrs(coefs / 2);
+                for (int p = 0; p < coefs / 2; ++p) {
+                    pairs[p].resize(2 * n);
+                    for (size_t x = 0; x < n; ++x) {
+                        pairs[p][2 * x] = soa[2 * p][x];
+                        pairs[p][2 * x + 1] = soa[2 * p + 1][x];
+                    }
+                    pair_ptrs[p] = pairs[p].data();
+                }
+                for (const auto &ref : refs) {
+                    std::vector<int32_t> expected(count);
+                    int16_t cand[16];
+                    for (int i = 0; i < count; ++i) {
+                        for (int k = 0; k < coefs; ++k)
+                            cand[k] = soa[k][off + i];
+                        expected[i] = simd::kernelsFor(simd::Level::Scalar)
+                                          .ssdI16(ref.data(), cand, coefs);
+                    }
+                    for (simd::Level level : availableLevels()) {
+                        const simd::KernelTable &kt =
+                            simd::kernelsFor(level);
+                        std::vector<int32_t> out(count + 8, kSentinel);
+                        kt.ssdSoaBatchI16(ref.data(), soa_ptrs.data(), off,
+                                          coefs, count, out.data());
+                        std::vector<int32_t> pair_out(count + 8,
+                                                      kSentinel);
+                        if (coefs % 2 == 0) {
+                            kt.ssdPairBatchI16(ref.data(), pair_ptrs.data(),
+                                               off, coefs, count,
+                                               pair_out.data());
+                        }
+                        for (int i = 0; i < count + 8; ++i) {
+                            SCOPED_TRACE(testing::Message()
+                                         << "level=" << simd::toString(level)
+                                         << " coefs=" << coefs
+                                         << " count=" << count
+                                         << " family=" << family
+                                         << " candidate=" << i);
+                            const int32_t want =
+                                i < count ? expected[i] : kSentinel;
+                            EXPECT_EQ(want, out[i]);
+                            if (coefs % 2 == 0) {
+                                EXPECT_EQ(want, pair_out[i]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Int16 folded DCT: bitwise parity + tolerance against the float twin.
 // ---------------------------------------------------------------------
