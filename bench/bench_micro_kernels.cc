@@ -546,28 +546,30 @@ main(int argc, char **argv)
                 }
             });
         }
-        // The bare bm1LaneScan calls of the interior row (8 groups x 49
-        // window rows) against zero cutoffs: scoring and selection with
-        // no hit to replay. bm1_scan_lane minus this row is the
-        // match-list insertion the lane scan leaves to the caller.
+        // The bare bm1LaneScan calls of the interior row (64 / W groups
+        // of W = bm1Lanes references x 49 window rows) against zero
+        // cutoffs: scoring and selection with no hit to replay.
+        // bm1_scan_lane minus this row is the match-list insertion the
+        // lane scan leaves to the caller.
         record([&] {
             const float *const *planes = bm1_field.matchPlanes();
             const Bm1Row &br = bm1_rows[0];
-            float ref[16 * 8];
-            const float cut[8] = {};
-            int32_t pruned[8] = {};
-            std::vector<int32_t> idx(49 * 8 + 8);
+            const int width = k.bm1Lanes;
+            float ref[16 * simd::kMaxLanes];
+            const float cut[simd::kMaxLanes] = {};
+            int32_t pruned[simd::kMaxLanes] = {};
+            std::vector<int32_t> idx(49 * width + width);
             std::vector<float> dist(idx.size());
             for (int it = 0; it < bm1_iters; ++it)
-                for (int g = 0; g < 64; g += 8) {
+                for (int g = 0; g < 64; g += width) {
                     const size_t off =
                         bm1_field.matchOffset(br.x0 + g, br.y0);
                     for (int c = 0; c < 16; ++c)
-                        for (int l = 0; l < 8; ++l)
-                            ref[c * 8 + l] = planes[c][off + l];
+                        for (int lane = 0; lane < width; ++lane)
+                            ref[c * width + lane] = planes[c][off + lane];
                     for (int cy = br.y0 - 24; cy <= br.y0 + 24; ++cy)
                         g_sink += static_cast<float>(k.bm1LaneScan(
-                            ref, 8, planes, bm1_field.matchOffset(0, cy),
+                            ref, width, planes, bm1_field.matchOffset(0, cy),
                             br.x0 + g - 24, bm1_field.positionsX(), 49,
                             cy == br.y0 ? 24 : -1, 1.0f / 16.0f, 3000.0f,
                             cut, pruned, idx.data(), dist.data()));
@@ -608,9 +610,10 @@ main(int argc, char **argv)
                 "band at window 39)\n",
                 bm2_iters);
     std::printf("(bm1_scan_*: total ms for %d scans of one 64-reference "
-                "row at window 49; bm1_lane_kernel: their %d bare "
-                "bm1LaneScan calls)\n",
-                bm1_iters, bm1_iters * 8 * 49);
+                "row at window 49; bm1_lane_kernel: their bare "
+                "bm1LaneScan calls, %d per 8-lane and %d per 16-lane "
+                "level)\n",
+                bm1_iters, bm1_iters * 8 * 49, bm1_iters * 4 * 49);
     std::printf("(match_replay_w13/_w49: total ms for %d / %d replays of "
                 "64 references' window rows into fresh lists)\n",
                 replay_iters[0], replay_iters[1]);

@@ -69,14 +69,24 @@ BaselineSuite::measureCpu(const bm3d::Bm3dConfig &cfg)
 {
     bm3d::Bm3d denoiser(cfg);
     // Wall-clock time: the profile aggregates per-thread CPU time, so
-    // it cannot be used as the runtime of multi-threaded runs.
-    auto t0 = std::chrono::steady_clock::now();
-    auto result = denoiser.denoise(probeNoisy_);
-    auto t1 = std::chrono::steady_clock::now();
+    // it cannot be used as the runtime of multi-threaded runs. The
+    // probe is ~0.1 s, so one run on a shared host is mostly noise:
+    // keep the fastest of three (same output each time).
+    constexpr int kRuns = 3;
+    double best = 0.0;
+    bm3d::Bm3dResult result;
+    for (int run = 0; run < kRuns; ++run) {
+        const auto t0 = std::chrono::steady_clock::now();
+        result = denoiser.denoise(probeNoisy_);
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        best = run == 0 ? s : std::min(best, s);
+    }
     const double mp =
         static_cast<double>(probeSize_) * probeSize_ / 1e6;
     Rate rate;
-    rate.secondsPerMp = std::chrono::duration<double>(t1 - t0).count() / mp;
+    rate.secondsPerMp = best / mp;
     const double total = result.profile.totalSeconds();
     for (int i = 0; i < bm3d::kNumSteps; ++i)
         rate.stepFraction[i] =

@@ -1,5 +1,6 @@
 #include "bm3d/bandscan.h"
 
+#include <bit>
 #include <stdexcept>
 
 #include "simd/simd.h"
@@ -11,9 +12,6 @@ namespace {
 
 constexpr int kPatch = 4;
 constexpr int kCoefs = kPatch * kPatch;
-
-/** References per BM1 lane group (bm1LaneScan's lane count). */
-constexpr int kLanes = 8;
 
 } // namespace
 
@@ -59,8 +57,8 @@ BandScan::run(const ColorMatchDomain &domain, int window, float tau,
     const size_t pitch = static_cast<size_t>(nx) + kPatch - 1;
     diff_.resize(pitch * (ny + kPatch - 1));
     colSum_.resize(pitch * ny);
-    hitIdx_.resize(refs + 8); // + bandFoldSelect's vector overrun
-    hitDist_.resize(refs + 8);
+    hitIdx_.resize(refs + simd::kMaxLanes); // + the vector overrun
+    hitDist_.resize(refs + simd::kMaxLanes);
     runs_.resize(refs);
 
     const simd::KernelTable &k = simd::kernels();
@@ -120,30 +118,34 @@ BandScan::run(const DctMatchDomain &domain, int window, float tau,
         throw std::invalid_argument("BandScan: 4x4 patches only");
     begin(domain.positionsX(), domain.positionsY(), window, tau,
           max_matches, x0, nx, y0, ny);
-    hitIdx_.resize(static_cast<size_t>(window) * kLanes + kLanes);
+    const simd::KernelTable &k = simd::kernels();
+    // References per lane group: the table's lane width, a power of
+    // two, so hit indices s * width + l decode with a shift and a mask.
+    const int width = k.bm1Lanes;
+    const int width_log2 = std::countr_zero(static_cast<unsigned>(width));
+    hitIdx_.resize(static_cast<size_t>(window) * width + width);
     hitDist_.resize(hitIdx_.size());
     laneDist_.resize(hitIdx_.size());
     lanePos_.resize(hitIdx_.size());
-    runs_.resize(kLanes);
+    runs_.resize(width);
 
-    const simd::KernelTable &k = simd::kernels();
     const float *const *planes = field.matchPlanes();
     const float norm = 1.0f / static_cast<float>(kCoefs);
-    float ref[kCoefs * kLanes];
+    float ref[kCoefs * simd::kMaxLanes];
     for (int r = 0; r < ny; ++r) {
         const int ry = y0 + r;
         const int cy_lo = std::max(0, ry - half_);
         const int cy_hi = std::min(posY_ - 1, ry + half_);
-        for (int g = 0; g < nx; g += kLanes) {
-            // One group: up to 8 adjacent references, descriptors held
-            // lane-major, scored against each window row in turn.
-            const int lanes = std::min(kLanes, nx - g);
+        for (int g = 0; g < nx; g += width) {
+            // One group: up to `width` adjacent references, descriptors
+            // held lane-major, scored against each window row in turn.
+            const int lanes = std::min(width, nx - g);
             const int rx0 = x0 + g;
             const int i0 = r * nx + g;
             const size_t ref_off = field.matchOffset(rx0, ry);
             for (int c = 0; c < kCoefs; ++c)
-                for (int l = 0; l < kLanes; ++l)
-                    ref[c * kLanes + l] =
+                for (int l = 0; l < width; ++l)
+                    ref[c * width + l] =
                         l < lanes ? planes[c][ref_off + l] : 0.0f;
             for (int cy = cy_lo; cy <= cy_hi; ++cy) {
                 const int hits = k.bm1LaneScan(
@@ -156,10 +158,10 @@ BandScan::run(const DctMatchDomain &domain, int window, float tau,
                 // Group the (s, l)-ordered hits by lane, keeping each
                 // lane's scan order: one run per reference, in a bucket
                 // of `window` slots (a lane hits at most once a step).
-                int count[kLanes] = {};
+                int count[simd::kMaxLanes] = {};
                 for (int h = 0; h < hits; ++h) {
-                    const int l = hitIdx_[h] % kLanes;
-                    const int s = hitIdx_[h] / kLanes;
+                    const int l = hitIdx_[h] & (width - 1);
+                    const int s = hitIdx_[h] >> width_log2;
                     const size_t at =
                         static_cast<size_t>(l) * window + count[l]++;
                     laneDist_[at] = hitDist_[h];

@@ -19,7 +19,8 @@
  *      V    = (D[r] + D[r+2]) + (D[r+1] + D[r+3])   (4-row column sums)
  *    and each reference's distance ((V[c]+V[c+2]) + (V[c+1]+V[c+3])) / 16.
  *  - BM1 (thresholded-DCT domain), reference-lane: 8 adjacent
- *    references sit in the vector lanes with their descriptors held
+ *    references (16 at the AVX-512 level, KernelTable::bm1Lanes) sit
+ *    in the vector lanes with their descriptors held
  *    while every displacement of a window row streams the candidates
  *    at +d past them, contiguously in each coefficient plane. This is
  *    IDEALB's organisation: lock-step engines each hold one reference

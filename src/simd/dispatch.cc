@@ -20,6 +20,8 @@ const KernelTable &
 tableFor(Level level)
 {
     switch (level) {
+    case Level::Avx512:
+        return detail::avx512Table();
     case Level::Avx2:
         return detail::kAvx2Table;
     case Level::Sse:
@@ -34,6 +36,10 @@ Level
 probeBest()
 {
 #if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vl"))
+        return Level::Avx512;
     if (__builtin_cpu_supports("avx2"))
         return Level::Avx2;
     if (__builtin_cpu_supports("sse4.2"))
@@ -61,10 +67,12 @@ resolveLevel(Level best)
         requested = Level::Sse;
     } else if (std::strcmp(env, "avx2") == 0) {
         requested = Level::Avx2;
+    } else if (std::strcmp(env, "avx512") == 0) {
+        requested = Level::Avx512;
     } else {
         std::fprintf(stderr,
                      "ideal: unknown IDEAL_SIMD=\"%s\" "
-                     "(expected scalar|sse|avx2), using %s\n",
+                     "(expected scalar|sse|avx2|avx512), using %s\n",
                      env, toString(best));
         return requested;
     }
@@ -79,6 +87,12 @@ resolveLevel(Level best)
 }
 
 std::atomic<int> gActiveLevel{-1};
+
+/**
+ * The active level's table, resolved once: kernels() runs per kernel
+ * call, and the AVX-512 table sits behind a function-local static.
+ */
+std::atomic<const KernelTable *> gActiveTable{nullptr};
 
 Level
 initLevel()
@@ -98,6 +112,8 @@ const char *
 toString(Level level)
 {
     switch (level) {
+    case Level::Avx512:
+        return "avx512";
     case Level::Avx2:
         return "avx2";
     case Level::Sse:
@@ -131,12 +147,18 @@ setLevel(Level level)
         level = bestSupported();
     gActiveLevel.store(static_cast<int>(level),
                        std::memory_order_release);
+    gActiveTable.store(&tableFor(level), std::memory_order_release);
 }
 
 const KernelTable &
 kernels()
 {
-    return tableFor(activeLevel());
+    const KernelTable *table = gActiveTable.load(std::memory_order_acquire);
+    if (table == nullptr) {
+        table = &tableFor(activeLevel());
+        gActiveTable.store(table, std::memory_order_release);
+    }
+    return *table;
 }
 
 const KernelTable &

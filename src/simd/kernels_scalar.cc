@@ -922,6 +922,7 @@ const KernelTable kScalarTable = {
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
     bm1LaneScan,   matchReplayScalar,
+    8, // bm1Lanes
 };
 
 } // namespace detail

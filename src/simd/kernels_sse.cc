@@ -1455,6 +1455,7 @@ const KernelTable kSseTableStorage = {
     haarShrinkFusedI16,
     bandSqDiff,    bandColSum4,     bandFoldSelect,
     bm1LaneScan,   matchReplayScalar,
+    8, // bm1Lanes
 };
 
 } // namespace

@@ -6,18 +6,24 @@
  * Runtime-dispatched SIMD kernel layer for the BM3D hot path.
  *
  * One implementation of every hot kernel exists per instruction-set
- * level (scalar / SSE4.2 / AVX2); the best level the CPU supports is
- * selected once at startup via CPUID and can be overridden with
- * IDEAL_SIMD=scalar|sse|avx2 (requests above what the CPU supports
- * clamp down with a warning). Library code calls through the active
- * KernelTable, so a single baseline-ISA build adapts to the machine
- * it lands on.
+ * level (scalar / SSE4.2 / AVX2 / AVX-512); the best level the CPU
+ * supports is selected once at startup via CPUID and can be
+ * overridden with IDEAL_SIMD=scalar|sse|avx2|avx512 (requests above
+ * what the CPU supports clamp down with a warning). Library code
+ * calls through the active KernelTable, so a single baseline-ISA
+ * build adapts to the machine it lands on.
+ *
+ * A level's table need not give every row its own function: the SSE
+ * table points matchReplay at the scalar one, and the AVX-512 table
+ * widens only the four band-scan rows (written once over a lane-width
+ * wrapper in band_lanes.h, instantiated at 8 lanes for AVX2 and 16
+ * for AVX-512) and points every other row at the AVX2 function.
  *
  * ## The reduction-order rule
  *
  * Every kernel is bitwise-deterministic across dispatch levels: for
- * the same inputs, the scalar, SSE and AVX2 variants return identical
- * bits. Two mechanisms make that possible:
+ * the same inputs, the scalar, SSE, AVX2 and AVX-512 variants return
+ * identical bits. Two mechanisms make that possible:
  *
  * 1. *Vertical* operations (the DCT passes, Haar butterflies,
  *    shrinkage, aggregation) touch each lane independently, so any
@@ -33,6 +39,10 @@
  *    The scalar variant keeps 8 scalar accumulators, SSE emulates the
  *    8 lanes with two __m128, and AVX2 holds them in one __m256 whose
  *    standard extract/add/movehl fold produces exactly that tree.
+ *    The band-scan rows put one candidate per lane instead and apply
+ *    the same tree per lane (vertical adds of the 8 partial sums), so
+ *    their lane width (8 or 16) changes only which candidates share
+ *    a vector.
  *    Trailing elements (len % 8) are always added sequentially after
  *    the fold, in every variant.
  *
@@ -64,9 +74,10 @@ enum class Level {
     Scalar = 0, ///< portable C++, no intrinsics
     Sse = 1,    ///< SSE4.2 (128-bit)
     Avx2 = 2,   ///< AVX2 (256-bit)
+    Avx512 = 3, ///< AVX-512 F + BW + VL (512-bit band-scan rows)
 };
 
-/** Lower-case level name ("scalar", "sse", "avx2"). */
+/** Lower-case level name ("scalar", "sse", "avx2", "avx512"). */
 const char *toString(Level level);
 
 /**
@@ -110,6 +121,9 @@ matchInsert(MatchSlots &s, float d, uint32_t pos)
         ++s.size;
     return true;
 }
+
+/** The widest KernelTable::bm1Lanes of any level (hit-buffer slack). */
+constexpr int kMaxLanes = 16;
 
 /** One run of scored candidates for matchReplay, all into one list. */
 struct MatchRun
@@ -448,8 +462,8 @@ struct KernelTable
      * NaN distances are neither. Returns the hit count; the caller
      * inserts the hits and tightens cut[]. Row r of @p v must hold
      * cols + 3 values; @p hit_idx and @p hit_dist need room for
-     * rows * cols + 8 entries (variants store whole vectors past the
-     * last hit).
+     * rows * cols + kMaxLanes entries (variants store whole vectors
+     * past the last hit).
      */
     int (*bandFoldSelect)(const float *v, size_t v_stride, int rows,
                           int cols, float scale, float tau,
@@ -459,8 +473,9 @@ struct KernelTable
 
     // ---- reference-lane BM1 window-row scan (DESIGN §16) ---------
     //
-    // Up to 8 horizontally adjacent references sit in the lanes with
-    // their 16 thresholded-DCT coefficients held; every displacement
+    // Up to bm1Lanes (8, or 16 at AVX-512) horizontally adjacent
+    // references sit in the lanes with their 16 thresholded-DCT
+    // coefficients held; every displacement
     // of one window row loads the 16 candidate planes at +d
     // contiguously and folds them with ssdSoaBatch's canonical len-16
     // tree, so each lane's distance is bitwise that candidate's
@@ -468,8 +483,9 @@ struct KernelTable
 
     /**
      * Score one reference group against one window row of a 16-plane
-     * field. Lane l in [0, @p lanes) (lanes <= 8) holds the reference
-     * descriptor ref[k * 8 + l], k in [0, 16). At step s in
+     * field. With W = bm1Lanes, lane l in [0, @p lanes) (lanes <= W)
+     * holds the reference descriptor ref[k * W + l], k in [0, 16) (@p
+     * ref holds 16 * W floats). At step s in
      * [0, @p steps) its candidate is position x = x0 + s + l of the
      * field row at plane offset @p row (coefficient k at
      * planes[k][row + x]). The lane is masked — no load, no hit, no
@@ -477,14 +493,14 @@ struct KernelTable
      * @p skip (pass -1 for none). For every other lane, with dist =
      * ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) scaled by @p scale, where
      * s_j = (ref_j - c_j)^2 + (ref_{8+j} - c_{8+j})^2:
-     *   dist <  cut[l]        -> hit: append s * 8 + l to @p hit_idx
+     *   dist <  cut[l]        -> hit: append s * W + l to @p hit_idx
      *                            and dist to @p hit_dist, ascending in
      *                            (s, l);
      *   else if dist < tau    -> ++pruned[l] (int32 lanes).
      * @p cut is read once, so hits are relative to the cutoffs at the
      * start of the row. NaN distances are neither. Only entries
      * [0, lanes) of @p cut and @p pruned are accessed. Returns the hit
-     * count; @p hit_idx and @p hit_dist need room for steps * 8 + 8
+     * count; @p hit_idx and @p hit_dist need room for steps * W + W
      * entries (variants store whole vectors past the last hit).
      */
     int (*bm1LaneScan)(const float *ref, int lanes,
@@ -509,6 +525,14 @@ struct KernelTable
      * SSE table points at the scalar one.
      */
     void (*matchReplay)(const MatchRun *runs, int n, float tau);
+
+    /**
+     * bm1LaneScan's group width W, a power of two: 8 for scalar, SSE
+     * and AVX2, 16 for AVX-512. Callers lay references out and decode
+     * hit indices with it; per reference the results do not depend on
+     * it.
+     */
+    int bm1Lanes;
 };
 
 /** Best level this CPU supports (probed once). */
@@ -521,7 +545,8 @@ Level bestSupported();
 Level activeLevel();
 
 /**
- * Test hook: force the active level (clamped to bestSupported()).
+ * Test hook: force the active level (clamped to bestSupported();
+ * tests that name a level check bestSupported() first and skip).
  * Not thread-safe against kernels in flight — call only from tests
  * and benchmarks between runs.
  */

@@ -1287,7 +1287,9 @@ struct ScanFrame
  * street frame (509 positions, 64-wide tiles with the last 61 wide,
  * 8-row bands with the last 5 rows: image corners, interior tile
  * edges and both partial shapes), odd and smaller-than-window sizes,
- * and frames with one non-finite pixel. @p sigma sets the noise.
+ * one rectangle spanning a whole 34-position-wide grid (all four
+ * image edges at once; 34 is no multiple of 8 or 16 lanes), and
+ * frames with one non-finite pixel. @p sigma sets the noise.
  */
 std::vector<ScanFrame>
 scanFrames(float sigma)
@@ -1307,7 +1309,9 @@ scanFrames(float sigma)
         auto s = image::addGaussianNoise(
             image::makeScene(image::SceneKind::Nature, 37, 29, 1, 96), sigma,
             97);
-        frames.push_back({"37x29", s, coverGrid(34, 26, 16, 8)});
+        std::vector<ScanRect> rects = coverGrid(34, 26, 16, 8);
+        rects.push_back({0, 34, 0, 26});
+        frames.push_back({"37x29", s, rects});
     }
     {
         // Smaller than every window: each reference's window clips on

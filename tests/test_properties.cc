@@ -23,6 +23,8 @@
 #include "transforms/dct.h"
 #include "transforms/haar.h"
 
+#include "levels.h"
+
 using namespace ideal;
 
 // ---------------------------------------------------------------------
@@ -119,13 +121,16 @@ TEST_F(PrecisionMatrix, DenoisesAndInt16IsBitwiseInvariant)
     auto noisy = image::addGaussianNoise(clean, 25.0f, 321);
     const double noisy_psnr = image::psnrDb(clean, noisy);
 
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Sse,
-                                  simd::Level::Avx2};
+    std::string unsupported;
+    const std::vector<simd::Level> levels = test::supportedLevels(
+        {simd::Level::Scalar, simd::Level::Sse, simd::Level::Avx2,
+         simd::Level::Avx512},
+        unsupported);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         std::vector<float> int16_ref;
         for (simd::Level level : levels) {
-            simd::setLevel(level); // clamped to bestSupported()
+            simd::setLevel(level);
             for (int threads : {1, 8}) {
                 bm3d::Bm3dConfig cfg;
                 cfg.sigma = 25.0f;
@@ -150,6 +155,8 @@ TEST_F(PrecisionMatrix, DenoisesAndInt16IsBitwiseInvariant)
             }
         }
     }
+    if (!unsupported.empty())
+        GTEST_SKIP() << unsupported;
 }
 
 // ---------------------------------------------------------------------
@@ -467,11 +474,14 @@ TEST_F(VariantMatrix, InfiniteMarginMatchesDenseBitwise)
     auto clean = image::makeScene(image::SceneKind::Street, 48, 40, 1, 330);
     auto noisy = image::addGaussianNoise(clean, 25.0f, 331);
 
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Avx2};
+    std::string unsupported;
+    const std::vector<simd::Level> levels = test::supportedLevels(
+        {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Avx512},
+        unsupported);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         for (simd::Level level : levels) {
-            simd::setLevel(level); // clamped to bestSupported()
+            simd::setLevel(level);
             for (int threads : {1, 8}) {
                 bm3d::Bm3dConfig cfg;
                 cfg.sigma = 25.0f;
@@ -493,6 +503,8 @@ TEST_F(VariantMatrix, InfiniteMarginMatchesDenseBitwise)
             }
         }
     }
+    if (!unsupported.empty())
+        GTEST_SKIP() << unsupported;
 }
 
 // ---------------------------------------------------------------------
@@ -514,11 +526,14 @@ TEST_F(BandMatrix, BandScheduleMatchesStageMajorBitwise)
     auto clean = image::makeScene(image::SceneKind::Street, 48, 44, 1, 350);
     auto noisy = image::addGaussianNoise(clean, 25.0f, 351);
 
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Avx2};
+    std::string unsupported;
+    const std::vector<simd::Level> levels = test::supportedLevels(
+        {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Avx512},
+        unsupported);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         for (simd::Level level : levels) {
-            simd::setLevel(level); // clamped to bestSupported()
+            simd::setLevel(level);
             for (int threads : {1, 8}) {
                 bm3d::Bm3dConfig cfg;
                 cfg.sigma = 25.0f;
@@ -547,6 +562,8 @@ TEST_F(BandMatrix, BandScheduleMatchesStageMajorBitwise)
             }
         }
     }
+    if (!unsupported.empty())
+        GTEST_SKIP() << unsupported;
 }
 
 TEST_F(VariantMatrix, DensifyAlwaysMatchesDenseBitwise)
@@ -554,7 +571,10 @@ TEST_F(VariantMatrix, DensifyAlwaysMatchesDenseBitwise)
     auto clean = image::makeScene(image::SceneKind::Nature, 48, 40, 1, 340);
     auto noisy = image::addGaussianNoise(clean, 25.0f, 341);
 
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Avx2};
+    std::string unsupported;
+    const std::vector<simd::Level> levels = test::supportedLevels(
+        {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Avx512},
+        unsupported);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         for (simd::Level level : levels) {
@@ -580,4 +600,6 @@ TEST_F(VariantMatrix, DensifyAlwaysMatchesDenseBitwise)
             }
         }
     }
+    if (!unsupported.empty())
+        GTEST_SKIP() << unsupported;
 }

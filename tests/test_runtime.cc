@@ -30,6 +30,8 @@
 #include "simd/simd.h"
 #include "transforms/dct.h"
 
+#include "levels.h"
+
 using namespace ideal;
 using runtime::StreamConfig;
 using runtime::StreamDenoiser;
@@ -110,8 +112,11 @@ class RuntimeTest : public ::testing::Test
 TEST_F(RuntimeTest, StreamMatchesBatchBitwiseAcrossLevelsAndThreads)
 {
     const auto clip = staticClip(3, 64, 48, 25.0f, 41);
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Sse,
-                                  simd::Level::Avx2};
+    std::string unsupported;
+    const std::vector<simd::Level> levels = test::supportedLevels(
+        {simd::Level::Scalar, simd::Level::Sse, simd::Level::Avx2,
+         simd::Level::Avx512},
+        unsupported);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         // Int16 matching is bitwise deterministic across *levels* too
@@ -120,7 +125,7 @@ TEST_F(RuntimeTest, StreamMatchesBatchBitwiseAcrossLevelsAndThreads)
         // reference. Float only promises equality within a level.
         std::vector<image::ImageF> int16_ref;
         for (simd::Level level : levels) {
-            simd::setLevel(level); // clamped to bestSupported()
+            simd::setLevel(level);
             for (int threads : {1, 8}) {
                 StreamConfig cfg = smallStreamConfig(threads);
                 cfg.frame.precision = precision;
@@ -147,6 +152,8 @@ TEST_F(RuntimeTest, StreamMatchesBatchBitwiseAcrossLevelsAndThreads)
             }
         }
     }
+    if (!unsupported.empty())
+        GTEST_SKIP() << unsupported;
 }
 
 // The Wiener stage runs through the same arena-backed plumbing.

@@ -29,6 +29,8 @@
 #include "service/service.h"
 #include "simd/simd.h"
 
+#include "levels.h"
+
 using namespace ideal;
 using runtime::StreamConfig;
 using runtime::StreamDenoiser;
@@ -135,11 +137,14 @@ TEST_F(ServiceTest, ServiceMatchesSoloBitwiseMatrix)
         staticClip(frames, 48, 48, 25.0f, 43),
         staticClip(frames, 56, 40, 25.0f, 47),
     };
-    const simd::Level levels[] = {simd::Level::Scalar, simd::Level::Avx2};
+    std::string unsupported;
+    const std::vector<simd::Level> levels = test::supportedLevels(
+        {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Avx512},
+        unsupported);
     for (bm3d::Precision precision :
          {bm3d::Precision::Float32, bm3d::Precision::Int16}) {
         for (simd::Level level : levels) {
-            simd::setLevel(level); // clamped to bestSupported()
+            simd::setLevel(level);
             for (int threads : {1, 8}) {
                 std::vector<SessionConfig> tenants(3);
                 for (size_t t = 0; t < tenants.size(); ++t) {
@@ -191,6 +196,8 @@ TEST_F(ServiceTest, ServiceMatchesSoloBitwiseMatrix)
             }
         }
     }
+    if (!unsupported.empty())
+        GTEST_SKIP() << unsupported;
 }
 
 // A temporally-seeded tenant must replay the solo seeded stream

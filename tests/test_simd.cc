@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "bm3d/matchlist.h"
@@ -137,6 +139,21 @@ TEST_F(SimdParity, LevelNamesAreStable)
     EXPECT_STREQ(simd::toString(simd::Level::Scalar), "scalar");
     EXPECT_STREQ(simd::toString(simd::Level::Sse), "sse");
     EXPECT_STREQ(simd::toString(simd::Level::Avx2), "avx2");
+    EXPECT_STREQ(simd::toString(simd::Level::Avx512), "avx512");
+}
+
+TEST_F(SimdParity, ReportsBestSupportedLevel)
+{
+    // The log line a CI runner leaves: which levels this run checked.
+    // Levels above bestSupported() are not tested on this host.
+    const simd::Level best = simd::bestSupported();
+    std::printf("bestSupported() = %s, active = %s%s\n",
+                simd::toString(best), simd::toString(simd::activeLevel()),
+                best < simd::Level::Avx512
+                    ? " (avx512 not supported: its rows are not tested "
+                      "on this host)"
+                    : "");
+    EXPECT_LE(simd::activeLevel(), best);
 }
 
 TEST_F(SimdParity, SetLevelRoundTripsAndClamps)
@@ -146,7 +163,7 @@ TEST_F(SimdParity, SetLevelRoundTripsAndClamps)
         EXPECT_EQ(simd::activeLevel(), level);
     }
     // A request above what the CPU supports clamps down.
-    simd::setLevel(simd::Level::Avx2);
+    simd::setLevel(simd::Level::Avx512);
     EXPECT_LE(simd::activeLevel(), simd::bestSupported());
 }
 
@@ -190,7 +207,50 @@ TEST_F(SimdParity, KernelTablesAreFullyPopulated)
         EXPECT_NE(k.bandFoldSelect, nullptr);
         EXPECT_NE(k.bm1LaneScan, nullptr);
         EXPECT_NE(k.matchReplay, nullptr);
+        EXPECT_EQ(k.bm1Lanes, level == simd::Level::Avx512 ? 16 : 8);
+        EXPECT_LE(k.bm1Lanes, simd::kMaxLanes);
     }
+}
+
+TEST_F(SimdParity, Avx512TableWidensOnlyTheBandScanRows)
+{
+    if (simd::bestSupported() < simd::Level::Avx512)
+        GTEST_SKIP() << "avx512 not supported (bestSupported() = "
+                     << simd::toString(simd::bestSupported()) << ")";
+    const simd::KernelTable &a = simd::kernelsFor(simd::Level::Avx2);
+    const simd::KernelTable &w = simd::kernelsFor(simd::Level::Avx512);
+    EXPECT_NE(w.bandSqDiff, a.bandSqDiff);
+    EXPECT_NE(w.bandColSum4, a.bandColSum4);
+    EXPECT_NE(w.bandFoldSelect, a.bandFoldSelect);
+    EXPECT_NE(w.bm1LaneScan, a.bm1LaneScan);
+    EXPECT_EQ(w.ssd, a.ssd);
+    EXPECT_EQ(w.ssdBounded, a.ssdBounded);
+    EXPECT_EQ(w.ssdFull, a.ssdFull);
+    EXPECT_EQ(w.ssdBatch16, a.ssdBatch16);
+    EXPECT_EQ(w.ssdSoa, a.ssdSoa);
+    EXPECT_EQ(w.ssdSoaBatch, a.ssdSoaBatch);
+    EXPECT_EQ(w.dct4Forward, a.dct4Forward);
+    EXPECT_EQ(w.dct4Inverse, a.dct4Inverse);
+    EXPECT_EQ(w.haarForwardPair, a.haarForwardPair);
+    EXPECT_EQ(w.haarInversePair, a.haarInversePair);
+    EXPECT_EQ(w.hardThreshold, a.hardThreshold);
+    EXPECT_EQ(w.wienerApply, a.wienerApply);
+    EXPECT_EQ(w.aggregateAdd, a.aggregateAdd);
+    EXPECT_EQ(w.mergeAdd, a.mergeAdd);
+    EXPECT_EQ(w.ssdI16, a.ssdI16);
+    EXPECT_EQ(w.ssdBoundedI16, a.ssdBoundedI16);
+    EXPECT_EQ(w.ssdSoaI16, a.ssdSoaI16);
+    EXPECT_EQ(w.ssdSoaBatchI16, a.ssdSoaBatchI16);
+    EXPECT_EQ(w.ssdPairBatchI16, a.ssdPairBatchI16);
+    EXPECT_EQ(w.dct4ForwardI16, a.dct4ForwardI16);
+    EXPECT_EQ(w.haarForwardPairI16, a.haarForwardPairI16);
+    EXPECT_EQ(w.haarInversePairI16, a.haarInversePairI16);
+    EXPECT_EQ(w.hardThresholdI16, a.hardThresholdI16);
+    EXPECT_EQ(w.haarShrinkFused, a.haarShrinkFused);
+    EXPECT_EQ(w.wienerShrinkFused, a.wienerShrinkFused);
+    EXPECT_EQ(w.aggregateGroup, a.aggregateGroup);
+    EXPECT_EQ(w.haarShrinkFusedI16, a.haarShrinkFusedI16);
+    EXPECT_EQ(w.matchReplay, a.matchReplay);
 }
 
 // ---------------------------------------------------------------------
@@ -1057,13 +1117,14 @@ TEST_F(SimdParity, AggregateGroupMatchesDiscreteSequence)
 
 TEST_F(SimdParity, BandScanRowsMatchScalarBitwise)
 {
-    // Widths cover whole vectors, scalar tails and sub-vector rows;
-    // NaN, infinity and signed zeros ride through every pass.
+    // Widths cover whole 8- and 16-lane vectors, partial tails of both
+    // and sub-vector rows; NaN, infinity and signed zeros ride through
+    // every pass, and some cutoffs tie their distance exactly.
     Rng rng(1717);
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const float inf = std::numeric_limits<float>::infinity();
     const simd::KernelTable &ref = simd::kernelsFor(simd::Level::Scalar);
-    for (int cols : {1, 3, 4, 7, 8, 9, 16, 21, 64}) {
+    for (int cols : {1, 3, 4, 7, 8, 9, 15, 16, 17, 21, 31, 33, 64}) {
         const int rows = 5;
         const size_t stride = static_cast<size_t>(cols) + 11;
         const size_t pitch = static_cast<size_t>(cols) + 3;
@@ -1091,9 +1152,17 @@ TEST_F(SimdParity, BandScanRowsMatchScalarBitwise)
         std::vector<float> cut(static_cast<size_t>(rows) * cols);
         for (float &c : cut)
             c = rng.uniform(0.0f, 90000.0f);
+        // Every 5th reference's cutoff is its own distance: a tie is
+        // no hit, and pruned when below tau.
+        for (int r = 0; r < rows; ++r)
+            for (int c = r % 5; c < cols; c += 5) {
+                const float *p = v_ref.data() + r * pitch + c;
+                cut[r * cols + c] =
+                    ((p[0] + p[2]) + (p[1] + p[3])) * (1.0f / 16.0f);
+            }
         const size_t n = cut.size();
-        std::vector<int32_t> pruned_ref(n, 7), idx_ref(n + 8);
-        std::vector<float> dist_ref(n + 8);
+        std::vector<int32_t> pruned_ref(n, 7), idx_ref(n + simd::kMaxLanes);
+        std::vector<float> dist_ref(n + simd::kMaxLanes);
         const int hits_ref = ref.bandFoldSelect(
             v_ref.data(), pitch, rows, cols, 1.0f / 16.0f, tau, cut.data(),
             pruned_ref.data(), cols, idx_ref.data(), dist_ref.data());
@@ -1116,8 +1185,8 @@ TEST_F(SimdParity, BandScanRowsMatchScalarBitwise)
                                v.data() + r * pitch, d_cols,
                                "bandColSum4");
 
-            std::vector<int32_t> pruned(n, 7), idx(n + 8);
-            std::vector<float> dist(n + 8);
+            std::vector<int32_t> pruned(n, 7), idx(n + simd::kMaxLanes);
+            std::vector<float> dist(n + simd::kMaxLanes);
             const int hits = k.bandFoldSelect(
                 v.data(), pitch, rows, cols, 1.0f / 16.0f, tau,
                 cut.data(), pruned.data(), cols, idx.data(), dist.data());
@@ -1137,106 +1206,219 @@ TEST_F(SimdParity, BandScanRowsMatchScalarBitwise)
 // Reference-lane BM1 window-row scan (DESIGN §16).
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** bm1LaneScan's outputs for one call. */
+struct LaneScanResult
+{
+    std::vector<int32_t> idx; ///< hit indices s * width + l
+    std::vector<float> dist;
+    std::vector<int32_t> pruned; ///< width lanes, starting at 7
+};
+
+/**
+ * One bm1LaneScan call of a group of @p width lanes (8 or 16) at
+ * table @p k: lane l's descriptor is desc[16 * l + k], laid out as
+ * k.bm1Lanes-stride lanes. A 16-lane group on an 8-lane table runs as
+ * two 8-lane calls (lanes 0-7 at x0, 8-15 at x0 + 8) merged in (s, l)
+ * order, which is the kernel contract at width 16.
+ */
+LaneScanResult
+laneScan(const simd::KernelTable &k, int width, const float *desc,
+         int lanes, const float *const *planes, int x0, int pos_x,
+         int steps, int skip, float scale, float tau, const float *cut)
+{
+    const int w = k.bm1Lanes;
+    LaneScanResult out;
+    out.pruned.assign(width, 7);
+    std::vector<std::pair<int32_t, float>> hits;
+    for (int g = 0; g < width; g += w) {
+        const int n = std::min(w, lanes - g);
+        if (n <= 0)
+            break;
+        std::vector<float> ref(16 * w, 0.0f);
+        for (int c = 0; c < 16; ++c)
+            for (int l = 0; l < n; ++l)
+                ref[c * w + l] = desc[16 * (g + l) + c];
+        std::vector<int32_t> idx(steps * w + w, -1);
+        std::vector<float> dist(idx.size());
+        const int count = k.bm1LaneScan(ref.data(), n, planes, 0, x0 + g,
+                                        pos_x, steps, skip, scale, tau,
+                                        cut + g, out.pruned.data() + g,
+                                        idx.data(), dist.data());
+        for (int h = 0; h < count; ++h)
+            hits.push_back({idx[h] / w * width + g + idx[h] % w, dist[h]});
+    }
+    std::stable_sort(hits.begin(), hits.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    for (const auto &h : hits) {
+        out.idx.push_back(h.first);
+        out.dist.push_back(h.second);
+    }
+    return out;
+}
+
+} // namespace
+
 TEST_F(SimdParity, Bm1LaneScanMatchesScalarBitwise)
 {
-    // Each coefficient plane is one row in its own exactly-sized
-    // buffer, so a load outside [0, pos_x) leaves the allocation (and
-    // trips ASan). Steps start left of the row and run past its end:
-    // every group size 1-8 meets masked edge lanes, and NaN, +-inf and
-    // +-0 ride through references and candidates alike.
+    // Each coefficient plane is one row in its own buffer: exactly
+    // sized, so a plain load outside [0, pos_x) leaves the allocation
+    // (and trips ASan), or with 32 zeros on either side, so a lane
+    // wrongly left unmasked at an edge scores a candidate of zeros and
+    // changes the hits (masked loads are not instrumented by ASan).
+    // Steps start left of the row and run past its end,
+    // and the 11-wide row is narrower than a 16-lane group: every group
+    // size 1-16 meets masked edge lanes, cut by the left edge, the
+    // right edge or both. NaN, +-inf and +-0 ride through references
+    // and candidates alike; one lane's descriptor equals a candidate
+    // (distance +0, against a cutoff of +0), and cutoffs and tau tie
+    // distances exactly. Groups of 16 lanes are checked at every level
+    // against the scalar table run as two 8-lane halves.
     Rng rng(2029);
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const float inf = std::numeric_limits<float>::infinity();
-    const int pos_x = 29;
-    std::vector<std::vector<float>> rows(16, std::vector<float>(pos_x));
-    std::vector<const float *> planes(16);
-    for (int k = 0; k < 16; ++k) {
-        for (float &v : rows[k])
-            v = rng.uniform(-40.0f, 40.0f);
-        planes[k] = rows[k].data();
-    }
-    rows[3][7] = nan;
-    rows[5][12] = inf;
-    rows[9][12] = -inf;
-    rows[0][20] = -0.0f;
-    rows[1][21] = 0.0f;
-    std::vector<float> ref(16 * 8);
-    for (float &v : ref)
-        v = rng.uniform(-40.0f, 40.0f);
-    ref[8 * 2 + 5] = nan;
-    ref[8 * 7 + 6] = -inf;
-    ref[8 * 11 + 1] = -0.0f;
-
     const float scale = 1.0f / 16.0f;
-    const float tau = 1000.0f; // the mean distance is ~1070
     const simd::KernelTable &scalar = simd::kernelsFor(simd::Level::Scalar);
-    int total_hits = 0;
-    for (int lanes = 1; lanes <= 8; ++lanes) {
-        for (int x0 : {-12, -5, 0, 3, 14, 24}) {
-            // Every skip position relative to AVX2's 4-step blocks.
-            for (int skip : {-1, 4, 5, 6, 7}) {
+    int total_hits = 0, total_pruned = 0;
+    // (guard, pos_x) pairs.
+    const std::pair<int, int> shapes[] = {{0, 29}, {0, 11}, {32, 29},
+                                          {32, 11}};
+    for (const auto &[guard, pos_x] : shapes) {
+        std::vector<std::vector<float>> rows(
+            16, std::vector<float>(pos_x + 2 * guard, 0.0f));
+        std::vector<float *> row(16);
+        std::vector<const float *> planes(16);
+        for (int k = 0; k < 16; ++k) {
+            row[k] = rows[k].data() + guard;
+            for (int x = 0; x < pos_x; ++x)
+                row[k][x] = rng.uniform(-40.0f, 40.0f);
+            planes[k] = row[k];
+        }
+        row[3][7] = nan;
+        row[5][pos_x - 2] = inf;
+        row[9][pos_x - 2] = -inf;
+        row[0][pos_x - 5] = -0.0f;
+        row[1][pos_x - 4] = 0.0f;
+        // Lane l's descriptor at desc[16 * l + k].
+        std::vector<float> desc(16 * 16);
+        for (float &v : desc)
+            v = rng.uniform(-40.0f, 40.0f);
+        desc[16 * 5 + 2] = nan;
+        desc[16 * 6 + 7] = -inf;
+        desc[16 * 1 + 11] = -0.0f;
+        for (int k = 0; k < 16; ++k) // lane 9 is candidate x = 4
+            desc[16 * 9 + k] = k == 0 ? -0.0f : planes[k][4];
+        row[0][4] = 0.0f;
+
+        const float tau = 1000.0f; // the mean distance is ~1070
+        for (int lanes = 1; lanes <= 16; ++lanes) {
+            for (int x0 : {-20, -12, -5, 0, 3, 14, 24}) {
                 const int steps = 13;
-                float cut[8];
+                float cut[16];
                 for (float &c : cut)
                     c = rng.uniform(500.0f, 1600.0f);
-                std::vector<int32_t> idx_ref(steps * 8 + 8);
-                std::vector<float> dist_ref(idx_ref.size());
-                int32_t pruned_ref[8] = {7, 7, 7, 7, 7, 7, 7, 7};
-                const int hits_ref = scalar.bm1LaneScan(
-                    ref.data(), lanes, planes.data(), 0, x0, pos_x, steps,
-                    skip, scale, tau, cut, pruned_ref, idx_ref.data(),
-                    dist_ref.data());
-                total_hits += hits_ref;
-                SCOPED_TRACE(testing::Message() << "lanes=" << lanes
-                                                << " x0=" << x0
-                                                << " skip=" << skip);
-                // Hits lie on unmasked lanes, ascend in (step, lane), and
-                // carry the candidate's ssdSoaBatch distance.
-                for (int h = 0; h < hits_ref; ++h) {
-                    const int s = idx_ref[h] / 8;
-                    const int l = idx_ref[h] % 8;
+                cut[9] = 0.0f;
+                // Ties: lane 2's cutoff is its distance at step 6, and
+                // lane 4 scores tau exactly at step 3 when that is no
+                // hit (neither hit nor pruned).
+                auto distance = [&](int l, int s, float *d) {
                     const int x = x0 + s + l;
-                    ASSERT_TRUE(l < lanes && s != skip && x >= 0 &&
-                                x < pos_x)
-                        << "hit " << h;
-                    if (h > 0) {
-                        EXPECT_GT(idx_ref[h], idx_ref[h - 1]);
-                    }
-                    float desc[16];
-                    for (int k = 0; k < 16; ++k)
-                        desc[k] = ref[8 * k + l];
-                    float want;
-                    scalar.ssdSoaBatch(desc, planes.data(), x, 16, 1, &want);
-                    expectBitEqual(want * scale, dist_ref[h], "hit distance",
-                                   h);
-                }
-                for (int l = lanes; l < 8; ++l)
-                    EXPECT_EQ(pruned_ref[l], 7) << "masked lane " << l;
-
-                for (simd::Level level : availableLevels()) {
-                    const simd::KernelTable &k = simd::kernelsFor(level);
+                    if (x < 0 || x >= pos_x)
+                        return false;
+                    scalar.ssdSoaBatch(&desc[16 * l], planes.data(), x, 16,
+                                       1, d);
+                    *d *= scale;
+                    return true;
+                };
+                float tie;
+                if (distance(2, 6, &tie))
+                    cut[2] = tie;
+                float tau_here = tau;
+                if (lanes > 4 && distance(4, 3, &tie) && !(tie < cut[4]))
+                    tau_here = tie;
+                for (int skip = -1; skip < steps; ++skip) {
                     SCOPED_TRACE(testing::Message()
-                                 << "level=" << simd::toString(level));
-                    std::vector<int32_t> idx(idx_ref.size());
-                    std::vector<float> dist(idx_ref.size());
-                    int32_t pruned[8] = {7, 7, 7, 7, 7, 7, 7, 7};
-                    const int hits = k.bm1LaneScan(
-                        ref.data(), lanes, planes.data(), 0, x0, pos_x,
-                        steps, skip, scale, tau, cut, pruned, idx.data(),
-                        dist.data());
-                    ASSERT_EQ(hits, hits_ref);
-                    for (int h = 0; h < hits; ++h) {
-                        EXPECT_EQ(idx[h], idx_ref[h]) << "hit " << h;
-                        expectBitEqual(dist_ref[h], dist[h], "hit distance",
-                                       h);
+                                 << "guard=" << guard << " pos_x=" << pos_x
+                                 << " lanes=" << lanes
+                                 << " x0=" << x0 << " skip=" << skip);
+                    const LaneScanResult want =
+                        laneScan(scalar, 16, desc.data(), lanes,
+                                 planes.data(), x0, pos_x, steps, skip,
+                                 scale, tau_here, cut);
+                    total_hits += static_cast<int>(want.idx.size());
+                    // Hits lie on unmasked lanes, ascend in (step,
+                    // lane), and carry the candidate's ssdSoaBatch
+                    // distance.
+                    for (size_t h = 0; h < want.idx.size(); ++h) {
+                        const int s = want.idx[h] / 16;
+                        const int l = want.idx[h] % 16;
+                        const int x = x0 + s + l;
+                        ASSERT_TRUE(l < lanes && s != skip && x >= 0 &&
+                                    x < pos_x)
+                            << "hit " << h;
+                        if (h > 0) {
+                            EXPECT_GT(want.idx[h], want.idx[h - 1]);
+                        }
+                        float d;
+                        ASSERT_TRUE(distance(l, s, &d));
+                        expectBitEqual(d, want.dist[h], "hit distance",
+                                       static_cast<int>(h));
                     }
-                    for (int l = 0; l < 8; ++l)
-                        EXPECT_EQ(pruned[l], pruned_ref[l]) << "lane " << l;
+                    for (int l = 0; l < 16; ++l) {
+                        if (l >= lanes) {
+                            EXPECT_EQ(want.pruned[l], 7)
+                                << "masked lane " << l;
+                        }
+                        total_pruned += want.pruned[l] - 7;
+                    }
+
+                    for (simd::Level level : availableLevels()) {
+                        const simd::KernelTable &k = simd::kernelsFor(level);
+                        SCOPED_TRACE(testing::Message()
+                                     << "level=" << simd::toString(level));
+                        // The table's own width, and a 16-lane group at
+                        // every level.
+                        const LaneScanResult own =
+                            laneScan(k, k.bm1Lanes, desc.data(),
+                                     std::min(lanes, k.bm1Lanes),
+                                     planes.data(), x0, pos_x, steps, skip,
+                                     scale, tau_here, cut);
+                        const LaneScanResult got =
+                            laneScan(k, 16, desc.data(), lanes,
+                                     planes.data(), x0, pos_x, steps, skip,
+                                     scale, tau_here, cut);
+                        ASSERT_EQ(got.idx, want.idx);
+                        for (size_t h = 0; h < got.idx.size(); ++h)
+                            expectBitEqual(want.dist[h], got.dist[h],
+                                           "hit distance",
+                                           static_cast<int>(h));
+                        EXPECT_EQ(got.pruned, want.pruned);
+                        const int w = k.bm1Lanes;
+                        size_t h16 = 0;
+                        for (size_t h = 0; h < own.idx.size(); ++h) {
+                            const int s = own.idx[h] / w;
+                            const int l = own.idx[h] % w;
+                            while (h16 < want.idx.size() &&
+                                   want.idx[h16] != s * 16 + l)
+                                ++h16;
+                            ASSERT_LT(h16, want.idx.size()) << "hit " << h;
+                            expectBitEqual(want.dist[h16], own.dist[h],
+                                           "own-width distance",
+                                           static_cast<int>(h));
+                        }
+                        for (int l = 0; l < std::min(lanes, w); ++l)
+                            EXPECT_EQ(own.pruned[l], want.pruned[l])
+                                << "lane " << l;
+                    }
                 }
             }
         }
     }
-    EXPECT_GT(total_hits, 100); // the cutoffs sit inside the distances
+    EXPECT_GT(total_hits, 1000); // the cutoffs sit inside the distances
+    EXPECT_GT(total_pruned, 1000);
 }
 
 // ---------------------------------------------------------------------
